@@ -20,8 +20,8 @@ import argparse
 import numpy as np
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
 from repro.data import load_dataset
+from repro.serving import StreamingFOCUS
 from repro.telemetry import (
     DriftConfig,
     MetricsRegistry,

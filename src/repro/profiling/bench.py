@@ -227,7 +227,7 @@ def bench_protoattn(quick: bool = False) -> dict:
 def bench_streaming(quick: bool = False) -> dict:
     """Ring-buffer observe throughput and forecast latency."""
     from repro.core.model import FOCUSConfig, FOCUSForecaster
-    from repro.core.streaming import StreamingFOCUS
+    from repro.serving import StreamingFOCUS
 
     dims = _STREAM_QUICK if quick else _STREAM_FULL
     rng = np.random.default_rng(11)
@@ -461,16 +461,21 @@ def bench_serving(quick: bool = False) -> dict:
 
     A shared pinned FOCUS model serves a fleet of warmed entities.  The
     *sequential* baseline answers each entity with its own
-    ``StreamingFOCUS.forecast()`` call (one forward per entity, exactly
-    the pre-serving deployment story); the *batched* path answers the
+    ``StreamingFOCUS.forecast()`` call (one ``B=1`` forward per entity,
+    the single-stream deployment story); the *batched* path answers the
     same requests through ``MicroBatcher`` in groups of 1/8/32 windows
     per forward, cache disabled so every request pays the model.  A
     final pass measures cache-on hit serving.  ``speedup_batch32``
     (batched throughput at 32 / sequential throughput) is the CI gate.
     """
     from repro.core.model import FOCUSConfig, FOCUSForecaster
-    from repro.core.streaming import StreamingFOCUS
-    from repro.serving import ForecastCache, ForecastServer, MicroBatcher, ServingConfig
+    from repro.serving import (
+        ForecastCache,
+        ForecastServer,
+        MicroBatcher,
+        ServingConfig,
+        StreamingFOCUS,
+    )
 
     dims = _SERVE_QUICK if quick else _SERVE_FULL
     rng = np.random.default_rng(17)

@@ -2,10 +2,11 @@
 
 - :mod:`repro.robustness.checkpoint` — atomic, checksummed training
   checkpoints with retention and corrupt-file fallback;
-- :mod:`repro.robustness.health` — the serving health state machine
-  and non-finite-input guardrails;
+- :mod:`repro.robustness.health` — the serving health state machine,
+  its telemetry/run-log transition reporter, and non-finite-input
+  guardrails;
 - :mod:`repro.robustness.fallback` — model-free degraded-mode
-  forecasts (persistence, seasonal-naive);
+  forecasts (persistence, seasonal-naive) and their one validator;
 - :mod:`repro.robustness.chaos` — deterministic fault injection used
   by the recovery test suite.
 """
@@ -25,6 +26,7 @@ from repro.robustness.checkpoint import (
 from repro.robustness.fallback import (
     FALLBACKS,
     persistence_forecast,
+    resolve_fallback,
     seasonal_naive_forecast,
 )
 from repro.robustness.health import (
@@ -32,6 +34,7 @@ from repro.robustness.health import (
     HealthMonitor,
     HealthState,
     apply_nan_policy,
+    health_reporter,
 )
 
 __all__ = [
@@ -45,9 +48,11 @@ __all__ = [
     "state_checksum",
     "FALLBACKS",
     "persistence_forecast",
+    "resolve_fallback",
     "seasonal_naive_forecast",
     "NAN_POLICIES",
     "HealthMonitor",
     "HealthState",
     "apply_nan_policy",
+    "health_reporter",
 ]

@@ -68,9 +68,12 @@ class ChaosModel(Module):
 
     Delegates every attribute it does not define to the wrapped model
     (``config``, ``update_prototype``, …), so it can stand in wherever
-    the real model is expected — e.g. inside
-    :class:`~repro.core.streaming.StreamingFOCUS` or a
-    :class:`~repro.training.Trainer`.
+    the real model is expected — e.g. behind a
+    :class:`~repro.serving.ForecastServer` or
+    :class:`~repro.serving.StreamingFOCUS`, or inside a
+    :class:`~repro.training.Trainer`.  Both entry points are faulted:
+    ``forward`` (training, eager calls) and ``forecast_batch`` (the
+    serving path) share one call counter and schedule.
     """
 
     def __init__(self, model: Module, spec: ChaosSpec):
@@ -92,7 +95,8 @@ class ChaosModel(Module):
             raise AttributeError(name)
         return getattr(inner, name)
 
-    def forward(self, *args, **kwargs):
+    def _inject_before(self) -> int:
+        """Count one call and fire its pre-forward faults; returns the call."""
         self.calls += 1
         call = self.calls
         spec = self.spec
@@ -110,16 +114,32 @@ class ChaosModel(Module):
             self.injected_failures += 1
             self.injection_log.append((call, "fail"))
             raise ChaosError(f"injected failure on call {call}")
-        out = self.inner(*args, **kwargs)
+        return call
+
+    def _inject_after(self, call: int, out):
+        """Fire the output faults of ``call`` on a Tensor or ndarray ``out``."""
+        spec = self.spec
         if spec.fires(spec.nan_every, call):
             self.injected_nans += 1
             self.injection_log.append((call, "nan"))
-            return Tensor(np.full_like(np.asarray(out.data), np.nan))
+            if isinstance(out, Tensor):
+                return Tensor(np.full_like(np.asarray(out.data), np.nan))
+            return np.full_like(out, np.nan)
         if spec.fires(spec.spike_every, call):
             self.injected_spikes += 1
             self.injection_log.append((call, "spike"))
             return out * spec.spike_scale
         return out
+
+    def forward(self, *args, **kwargs):
+        call = self._inject_before()
+        return self._inject_after(call, self.inner(*args, **kwargs))
+
+    def forecast_batch(self, windows, **kwargs):
+        """The wrapped model's batched inference under the same schedule:
+        one batched call is one call of the schedule."""
+        call = self._inject_before()
+        return self._inject_after(call, self.inner.forecast_batch(windows, **kwargs))
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,15 @@ path must still answer.  These model-free baselines compute a finite
 
 Both sanitize their input, so they stay finite even if the buffer
 itself was poisoned before ingestion guards were enabled.
+
+:func:`resolve_fallback` is the one place a fallback choice is
+validated and bound: the micro-batcher, the server's admission-control
+path and the serving/fleet configs all go through it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -51,3 +57,20 @@ FALLBACKS = {
     "persistence": persistence_forecast,
     "seasonal": seasonal_naive_forecast,
 }
+
+
+def resolve_fallback(kind: str, seasonal_period: int | None = None):
+    """Validate a fallback choice and bind it to ``forecast(window, horizon)``.
+
+    Raises ``ValueError`` for a name outside :data:`FALLBACKS`, or for
+    ``"seasonal"`` without a positive ``seasonal_period``.
+    """
+    if kind not in FALLBACKS:
+        raise ValueError(
+            f"unknown fallback {kind!r}; choose from {tuple(FALLBACKS)}"
+        )
+    if kind != "seasonal":
+        return FALLBACKS[kind]
+    if seasonal_period is None or seasonal_period < 1:
+        raise ValueError("the seasonal fallback requires a positive seasonal_period")
+    return functools.partial(FALLBACKS[kind], period=seasonal_period)

@@ -1,6 +1,7 @@
 """Serving-path health tracking and input guardrails.
 
-Two pieces used by :class:`repro.core.streaming.StreamingFOCUS`:
+Shared by every serving front door (:class:`~repro.serving.StreamingFOCUS`,
+:class:`~repro.serving.ForecastServer`, :class:`~repro.serving.ShardRouter`):
 
 - :class:`HealthMonitor` — a three-state machine
   (``HEALTHY → DEGRADED → FAILED``) driven by per-forecast outcomes.
@@ -9,6 +10,9 @@ Two pieces used by :class:`repro.core.streaming.StreamingFOCUS`:
   climbs back one rung at a time (``FAILED → DEGRADED`` on the first
   success, ``DEGRADED → HEALTHY`` after ``recover_after`` consecutive
   successes).
+- :func:`health_reporter` — the one ``on_transition`` callback that
+  publishes state changes as ``<prefix>health_*`` metrics and
+  ``health_transition`` run events.
 - :func:`apply_nan_policy` — the ingestion guard that decides what to
   do with non-finite observations before they reach the ring buffer.
 """
@@ -29,6 +33,48 @@ class HealthState(str, enum.Enum):
     HEALTHY = "HEALTHY"
     DEGRADED = "DEGRADED"
     FAILED = "FAILED"
+
+
+#: Numeric encoding of each state for the ``*_health_state`` gauges.
+HEALTH_LEVELS = {
+    HealthState.HEALTHY.value: 0,
+    HealthState.DEGRADED.value: 1,
+    HealthState.FAILED.value: 2,
+}
+
+
+def health_reporter(prefix: str, telemetry=None, run_logger=None):
+    """Build a :class:`HealthMonitor` ``on_transition`` callback.
+
+    Each state change increments ``<prefix>health_transitions_total{to}``
+    and sets the ``<prefix>health_state`` gauge on ``telemetry``, and
+    writes a ``health_transition`` event to ``run_logger``.  The gauge is
+    registered up front so it is exported before the first transition.
+    Returns ``None`` when both sinks are off, keeping the monitor free of
+    callbacks.
+    """
+    if telemetry is None and run_logger is None:
+        return None
+    gauge = None
+    if telemetry is not None:
+        gauge = telemetry.gauge(
+            f"{prefix}health_state", help="0=HEALTHY 1=DEGRADED 2=FAILED"
+        )
+
+    def report(src: str, dst: str, reason: str, tick: int) -> None:
+        if telemetry is not None:
+            telemetry.counter(
+                f"{prefix}health_transitions_total", labels={"to": dst},
+                help="serving-health state changes",
+            ).inc()
+            gauge.set(HEALTH_LEVELS[dst])
+        if run_logger is not None:
+            run_logger.event(
+                "health_transition",
+                **{"from": src, "to": dst, "reason": reason, "tick": tick},
+            )
+
+    return report
 
 
 class HealthMonitor:

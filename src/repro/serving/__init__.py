@@ -2,13 +2,16 @@
 
 Layered bottom-up:
 
-- :class:`EntitySession` / :class:`EntitySessionStore` — per-entity ring
-  buffers, NaN-policy guards, locks, and optional replayable journals;
+- :class:`ObservationRing` / :class:`EntitySession` /
+  :class:`EntitySessionStore` — per-entity ring buffers, NaN-policy
+  guards, locks, and optional replayable journals;
 - :class:`ForecastCache` — versioned LRU keyed on
   ``(entity, ring version, horizon)`` and invalidated by prototype EMA
   updates;
 - :class:`MicroBatcher` — coalesces requests into one batched forward
-  (bit-identical per sample to sequential streaming in float64);
+  (bit-identical per sample to a single-window forward in float64);
+- :class:`StreamingFOCUS` — the single-stream facade: one session and a
+  ``B=1`` batcher, plus novelty-triggered prototype adaptation;
 - :class:`ForecastServer` / :class:`ServingConfig` — bounded queue,
   background batching worker, admission control, health + telemetry;
 - :class:`ShardRouter` / :class:`FleetConfig` — multi-process scale-out:
@@ -32,7 +35,14 @@ from repro.serving.fleet import (
     replay_routed,
 )
 from repro.serving.server import ForecastServer, ServingConfig, replay_streams
-from repro.serving.session import EntitySession, EntitySessionStore, SessionStats
+from repro.serving.session import (
+    EntitySession,
+    EntitySessionStore,
+    IngestResult,
+    ObservationRing,
+    SessionStats,
+)
+from repro.serving.streaming import StreamingFOCUS, StreamingStats
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -44,12 +54,16 @@ __all__ = [
     "ForecastResponse",
     "ForecastServer",
     "HashRing",
+    "IngestResult",
     "MicroBatcher",
+    "ObservationRing",
     "PrototypeBank",
     "ServingConfig",
     "SessionStats",
     "ShardRouter",
     "StaleEpochError",
+    "StreamingFOCUS",
+    "StreamingStats",
     "WorkerCrashedError",
     "replay_fleet",
     "replay_routed",

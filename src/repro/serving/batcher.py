@@ -6,9 +6,10 @@ assignment GEMM setup — once per *call*.  Batching ``B`` windows into a
 single ``(B, L, N)`` forward (``FOCUSForecaster.forecast_batch``)
 amortizes all of it, and because every per-sample computation in the
 network is independent across the batch axis, each row of the batched
-result is **bit-identical** (float64) to the sequential
-:meth:`StreamingFOCUS.forecast <repro.core.streaming.StreamingFOCUS>`
-answer for the same window — the property ``tests/serving`` pins.
+result is **bit-identical** (float64) to a single-window eager forward
+of the same window — the property ``tests/serving`` pins.  The
+single-stream :class:`~repro.serving.StreamingFOCUS` is this batcher at
+``B=1``.
 
 Execution of one batch:
 
@@ -20,7 +21,7 @@ Execution of one batch:
    batch, stack the rest, and run one gradient-free batched forward;
 4. per-sample finite checks: a non-finite row (or a raised forward,
    which fails the whole batch) answers from the model-free fallback
-   instead, exactly like the single-entity streaming path;
+   (:func:`~repro.robustness.fallback.resolve_fallback`) instead;
 5. fill the cache, bump per-entity stats, record health outcomes, and
    emit batch-size/latency telemetry plus a ``serve_batch`` run event.
 """
@@ -33,7 +34,7 @@ import time
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
-from repro.robustness.fallback import persistence_forecast, seasonal_naive_forecast
+from repro.robustness.fallback import resolve_fallback
 from repro.serving.cache import ForecastCache
 from repro.serving.session import EntitySession
 from repro.telemetry.context import record_stage
@@ -54,7 +55,9 @@ class ForecastResponse:
     computed against; ``batch_size`` the number of windows in the
     executed forward (0 when no forward ran for this response).
     ``request_id`` echoes the :class:`~repro.telemetry.RequestContext`
-    the request was traced under ("" when tracing is off).
+    the request was traced under ("" when tracing is off).  ``failure``
+    says why a fallback answered ("" otherwise) — the reason health
+    monitors record.
     """
 
     entity: str
@@ -63,6 +66,7 @@ class ForecastResponse:
     ring_version: int
     batch_size: int = 0
     request_id: str = ""
+    failure: str = ""
 
 
 class MicroBatcher:
@@ -80,12 +84,7 @@ class MicroBatcher:
         process_name: str = "server",
         engine: str = "eager",
     ):
-        if fallback not in ("persistence", "seasonal"):
-            raise ValueError(
-                f"unknown fallback {fallback!r}; choose 'persistence' or 'seasonal'"
-            )
-        if fallback == "seasonal" and (seasonal_period is None or seasonal_period < 1):
-            raise ValueError("the seasonal fallback requires a positive seasonal_period")
+        self._fallback = resolve_fallback(fallback, seasonal_period)
         if engine not in ("eager", "plan"):
             raise ValueError(f"unknown engine {engine!r}; choose 'eager' or 'plan'")
         self.model = model
@@ -93,7 +92,6 @@ class MicroBatcher:
         self.model.eval()
         self.cache = cache
         self.fallback = fallback
-        self.seasonal_period = seasonal_period
         self._run_logger = run_logger
         self._health = health
         # Stamped on trace spans so merged cross-process traces name the
@@ -135,12 +133,6 @@ class MicroBatcher:
             }
 
     # ------------------------------------------------------------------
-    def _fallback_forecast(self, window: np.ndarray) -> np.ndarray:
-        horizon = self.model.config.horizon
-        if self.fallback == "seasonal":
-            return seasonal_naive_forecast(window, horizon, self.seasonal_period)
-        return persistence_forecast(window, horizon)
-
     def forecast_sessions(
         self,
         sessions: list[EntitySession],
@@ -150,7 +142,7 @@ class MicroBatcher:
         """Snapshot and answer one forecast request per session.
 
         Raises ``RuntimeError`` if any session lacks a full lookback
-        window (mirroring ``StreamingFOCUS.forecast``).
+        window.
 
         ``contexts`` maps entity ids to their
         :class:`~repro.telemetry.RequestContext` (stamped onto the
@@ -271,6 +263,7 @@ class MicroBatcher:
             for row, index in enumerate(pending):
                 session, window, version = requests[index]
                 ok = failure is None and bool(finite[row])
+                reason = ""
                 if ok:
                     forecast = predictions[row].copy()
                     source = "model"
@@ -281,15 +274,14 @@ class MicroBatcher:
                     if self._health is not None:
                         self._health.record_success()
                 else:
-                    forecast = self._fallback_forecast(window)
+                    forecast = self._fallback(window, horizon)
                     source = f"fallback:{self.fallback}"
+                    reason = failure or "non-finite model output"
                     if self._health is not None:
-                        self._health.record_failure(
-                            failure or "non-finite model output"
-                        )
+                        self._health.record_failure(reason)
                 responses[index] = ForecastResponse(
                     session.entity_id, forecast, source, version, batch_size,
-                    request_id=request_id(session.entity_id),
+                    request_id=request_id(session.entity_id), failure=reason,
                 )
                 with session.lock:
                     session.stats.forecasts += 1
@@ -330,6 +322,7 @@ class MicroBatcher:
                 answer.ring_version,
                 answer.batch_size,
                 request_id=request_id(answer.entity),
+                failure=answer.failure,
             )
             with session.lock:
                 session.stats.forecasts += 1

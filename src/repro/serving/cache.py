@@ -2,7 +2,7 @@
 
 Entries are keyed on ``(entity, ring version, horizon)`` — the ring
 version advances once per accepted observation
-(:class:`~repro.core.streaming.ObservationRing`), so a lookup performed
+(:class:`~repro.serving.session.ObservationRing`), so a lookup performed
 with the entity's *current* version can, by construction, never return
 a forecast computed from older data.  Stale-version entries are never
 *served*; they simply age out of the LRU order.

@@ -60,7 +60,8 @@ from multiprocessing import get_context, shared_memory
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
-from repro.robustness.health import NAN_POLICIES, HealthMonitor
+from repro.robustness.fallback import resolve_fallback
+from repro.robustness.health import NAN_POLICIES, HealthMonitor, health_reporter
 from repro.serving.batcher import ForecastResponse
 from repro.serving.server import ForecastServer, ServingConfig
 from repro.telemetry.aggregate import FleetAggregator, registry_snapshot
@@ -151,6 +152,8 @@ class FleetConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose 'eager' or 'plan'"
             )
+        # Reject here, not in a spawned worker that would die on it.
+        resolve_fallback(self.fallback, self.seasonal_period)
 
 
 @contextmanager
@@ -670,16 +673,11 @@ class ShardRouter:
                 "epoch": telemetry.gauge(
                     "serve_fleet_prototype_epoch", help="advertised prototype epoch"
                 ),
-                "health": telemetry.gauge(
-                    "serve_health_state", help="0=HEALTHY 1=DEGRADED 2=FAILED"
-                ),
             }
         # Observability plane: fleet-level health (worker deaths, SLO
         # budget burn), merged per-shard metrics, cross-process traces.
         self.health = HealthMonitor(
-            on_transition=self._on_health_transition
-            if (telemetry is not None or run_logger is not None)
-            else None,
+            on_transition=health_reporter("serve_", telemetry, run_logger),
         )
         self.aggregator = FleetAggregator()
         self.trace_buffer = (
@@ -811,21 +809,6 @@ class ShardRouter:
         if self._run_logger is not None:
             self._run_logger.event("fleet_worker_dead", shard=shard)
         self.health.record_failure(f"shard {shard} worker died")
-
-    def _on_health_transition(self, src: str, dst: str, reason: str, tick: int) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "serve_health_transitions_total", labels={"to": dst},
-                help="serving-health state changes",
-            ).inc()
-            self._instruments["health"].set(
-                ForecastServer._HEALTH_LEVELS[dst]
-            )
-        if self._run_logger is not None:
-            self._run_logger.event(
-                "health_transition",
-                **{"from": src, "to": dst, "reason": reason, "tick": tick},
-            )
 
     def alive_shards(self) -> set[int]:
         with self._alive_lock:

@@ -39,7 +39,8 @@ from collections import deque
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
-from repro.robustness.health import NAN_POLICIES, HealthMonitor, HealthState
+from repro.robustness.fallback import resolve_fallback
+from repro.robustness.health import NAN_POLICIES, HealthMonitor, health_reporter
 from repro.serving.batcher import ForecastResponse, MicroBatcher
 from repro.serving.cache import ForecastCache
 from repro.serving.session import EntitySessionStore
@@ -97,6 +98,7 @@ class ServingConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose 'eager' or 'plan'"
             )
+        resolve_fallback(self.fallback, self.seasonal_period)
 
 
 class _QueuedRequest:
@@ -119,12 +121,6 @@ class _QueuedRequest:
 class ForecastServer:
     """Thread-safe multi-entity serving front-end over one FOCUS model."""
 
-    _HEALTH_LEVELS = {
-        HealthState.HEALTHY.value: 0,
-        HealthState.DEGRADED.value: 1,
-        HealthState.FAILED.value: 2,
-    }
-
     def __init__(
         self,
         model: FOCUSForecaster,
@@ -135,7 +131,6 @@ class ForecastServer:
         self.model = model
         self.model.eval()
         self.config = config or ServingConfig()
-        self._telemetry = telemetry
         self._run_logger = run_logger
         self.store = EntitySessionStore.for_model(
             model,
@@ -148,9 +143,12 @@ class ForecastServer:
         self.health = HealthMonitor(
             fail_threshold=self.config.fail_threshold,
             recover_after=self.config.recover_after,
-            on_transition=self._on_health_transition
-            if (telemetry is not None or run_logger is not None)
-            else None,
+            on_transition=health_reporter("serve_", telemetry, run_logger),
+        )
+        # Admission control sheds through the same validated fallback the
+        # batcher answers model failures with.
+        self._fallback = resolve_fallback(
+            self.config.fallback, self.config.seasonal_period
         )
         self.batcher = MicroBatcher(
             model,
@@ -194,9 +192,6 @@ class ForecastServer:
                 "rejected": telemetry.counter(
                     "serve_forecasts_total", labels={"source": "rejected"},
                     help="requests shed by admission control",
-                ),
-                "health": telemetry.gauge(
-                    "serve_health_state", help="0=HEALTHY 1=DEGRADED 2=FAILED"
                 ),
             }
 
@@ -431,7 +426,7 @@ class ForecastServer:
             version = session.ring.version
             session.stats.forecasts += 1
             session.stats.rejected_requests += 1
-        forecast = self.batcher._fallback_forecast(window)
+        forecast = self._fallback(window, self.model.config.horizon)
         self.rejected_requests += 1
         if self._instruments is not None:
             self._instruments["rejected"].inc()
@@ -541,19 +536,6 @@ class ForecastServer:
                         return
                 continue
             self._serve_batch(batch)
-
-    def _on_health_transition(self, src: str, dst: str, reason: str, tick: int) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "serve_health_transitions_total", labels={"to": dst},
-                help="serving-health state changes",
-            ).inc()
-            self._instruments["health"].set(self._HEALTH_LEVELS[dst])
-        if self._run_logger is not None:
-            self._run_logger.event(
-                "health_transition",
-                **{"from": src, "to": dst, "reason": reason, "tick": tick},
-            )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -8,9 +8,9 @@ clustering makes this sharing natural: the prototype dictionary is
 fleet of entities, each of which only needs its own cheap lookback
 state.
 
-- :class:`EntitySession` owns exactly that state: one
-  :class:`~repro.core.streaming.ObservationRing` (lookback window +
-  NaN-policy guards + content version), a lock serializing all access,
+- :class:`ObservationRing` is that state: a lookback ring buffer with
+  NaN-policy ingestion guards and a content version.
+- :class:`EntitySession` owns one ring, a lock serializing all access,
   per-entity :class:`SessionStats`, and an optional *event journal* —
   the raw observations in the order the lock admitted them, which the
   concurrency test suite replays single-threaded to prove no update was
@@ -31,8 +31,148 @@ import threading
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
-from repro.core.streaming import IngestResult, ObservationRing
-from repro.robustness.health import NAN_POLICIES
+from repro.robustness.health import NAN_POLICIES, apply_nan_policy
+
+
+@dataclasses.dataclass(frozen=True)
+class IngestResult:
+    """Outcome of one guarded ring write."""
+
+    accepted: int = 0
+    imputed: int = 0
+    rejected: int = 0
+
+
+class ObservationRing:
+    """Versioned lookback ring buffer with NaN-policy ingestion guards.
+
+    The state behind every :class:`EntitySession` (and so behind both
+    :class:`~repro.serving.StreamingFOCUS` and the multi-entity
+    :class:`~repro.serving.ForecastServer`): fixed ``(L, N)`` storage,
+    an O(N) per-row write, and a monotonically increasing
+    :attr:`version` that advances once per *accepted* row — the key the
+    serving :class:`~repro.serving.ForecastCache` uses to guarantee a
+    cached forecast can never be served against newer data.
+
+    Parameters
+    ----------
+    lookback / num_entities:
+        Window geometry ``(L, N)``.
+    dtype:
+        Storage dtype (the model's parameter dtype).
+    nan_policy:
+        One of :data:`repro.robustness.health.NAN_POLICIES`; applied to
+        every incoming row/block before it touches the storage.
+    fill_value:
+        Zero-arg callable providing the scalar fill for the
+        ``impute_prototype`` policy (typically the prototype-dictionary
+        mean); ignored by the other policies.
+    """
+
+    def __init__(
+        self,
+        lookback: int,
+        num_entities: int,
+        dtype=np.float64,
+        nan_policy: str = "reject",
+        fill_value=None,
+    ):
+        if lookback < 1 or num_entities < 1:
+            raise ValueError("lookback and num_entities must be positive")
+        if nan_policy not in NAN_POLICIES:
+            raise ValueError(
+                f"unknown nan_policy {nan_policy!r}; choose from {NAN_POLICIES}"
+            )
+        self.lookback = lookback
+        self.num_entities = num_entities
+        self.nan_policy = nan_policy
+        self._fill_value = fill_value
+        self.storage = np.zeros((lookback, num_entities), dtype=dtype)
+        self.head = 0
+        self.filled = 0
+        self.count = 0  # total accepted rows, ever
+
+    @property
+    def ready(self) -> bool:
+        """True once a full lookback window has been observed."""
+        return self.filled >= self.lookback
+
+    @property
+    def version(self) -> int:
+        """Monotonic content version: bumps once per accepted row."""
+        return self.count
+
+    def last_written_row(self) -> np.ndarray | None:
+        if self.filled == 0:
+            return None
+        # Copy: callers hold this across subsequent writes (and mutating
+        # a returned row must never corrupt the ring).
+        return self.storage[(self.head - 1) % self.lookback].copy()
+
+    def _guard(self, block: np.ndarray) -> tuple[np.ndarray, int, int]:
+        fill = 0.0
+        if self.nan_policy == "impute_prototype" and self._fill_value is not None:
+            fill = float(self._fill_value())
+        return apply_nan_policy(
+            block, self.nan_policy, last_row=self.last_written_row(), fill_value=fill
+        )
+
+    def observe(self, observation: np.ndarray) -> IngestResult:
+        """Guard and write one ``(N,)`` row; returns what happened."""
+        observation = np.asarray(observation, dtype=self.storage.dtype)
+        if observation.shape != (self.num_entities,):
+            raise ValueError(
+                f"expected ({self.num_entities},) observation, "
+                f"got {observation.shape}"
+            )
+        guarded, imputed, rejected = self._guard(observation[None])
+        if len(guarded) == 0:
+            return IngestResult(accepted=0, imputed=imputed, rejected=rejected)
+        self.storage[self.head] = guarded[0]
+        self.head = (self.head + 1) % self.lookback
+        self.filled = min(self.filled + 1, self.lookback)
+        self.count += 1
+        return IngestResult(accepted=1, imputed=imputed, rejected=rejected)
+
+    def observe_many(self, observations: np.ndarray) -> IngestResult:
+        """Guard and write a ``(T, N)`` block of rows."""
+        observations = np.asarray(observations, dtype=self.storage.dtype)
+        if observations.ndim != 2 or observations.shape[1] != self.num_entities:
+            raise ValueError(
+                f"expected (T, {self.num_entities}) block, "
+                f"got {observations.shape}"
+            )
+        observations, imputed, rejected = self._guard(observations)
+        total = len(observations)
+        if total == 0:
+            return IngestResult(accepted=0, imputed=imputed, rejected=rejected)
+        lookback = self.lookback
+        # Only the trailing ``lookback`` rows can survive in the ring.
+        keep = observations[-lookback:]
+        offset = self.head + (total - len(keep))
+        indices = (offset + np.arange(len(keep))) % lookback
+        self.storage[indices] = keep
+        self.head = (self.head + total) % lookback
+        self.filled = min(self.filled + total, lookback)
+        self.count += total
+        return IngestResult(accepted=total, imputed=imputed, rejected=rejected)
+
+    def window(self) -> np.ndarray:
+        """The lookback window in chronological order (oldest first).
+
+        Materialized on demand; slots not yet overwritten hold zeros.
+        Always a fresh copy — never the live ring storage — so callers
+        holding the result do not see it mutate on the next
+        :meth:`observe`.
+        """
+        if self.head == 0:
+            return self.storage.copy()
+        return np.concatenate([self.storage[self.head :], self.storage[: self.head]])
+
+    def recent(self, steps: int) -> np.ndarray:
+        """The last ``steps`` observations in chronological order."""
+        indices = (self.head - steps + np.arange(steps)) % self.lookback
+        return self.storage[indices]
 
 
 @dataclasses.dataclass
@@ -165,8 +305,9 @@ class EntitySessionStore:
         record_events: bool = False,
     ) -> "EntitySessionStore":
         """Build a store matching a model's geometry, dtype, and the
-        prototype-mean imputation fill (same guard context as
-        :class:`~repro.core.streaming.StreamingFOCUS`)."""
+        prototype-mean imputation fill (the one guard context every
+        serving front door, :class:`~repro.serving.StreamingFOCUS`
+        included, ingests through)."""
         dtype = next(iter(model.parameters())).data.dtype
 
         def fill() -> float:

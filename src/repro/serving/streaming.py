@@ -1,46 +1,43 @@
-"""Streaming (deployment-style) wrapper around a trained FOCUS model.
+"""StreamingFOCUS: one stream through the serving stack.
 
 The paper's online phase assumes a fixed prototype set discovered
-offline, arguing prototypes are "relatively universal" (Sec. I).  In a
-real deployment the model consumes observations incrementally, and the
-prototype set may eventually go stale as the system drifts (the
-Sec. VIII-D phenomenon).  :class:`StreamingFOCUS` provides both pieces:
+offline, arguing prototypes are "relatively universal" (Sec. I), so a
+single stream and a fleet share one path: :class:`StreamingFOCUS` is a
+thin facade over one :class:`~repro.serving.EntitySession` and a
+``B=1`` :class:`~repro.serving.MicroBatcher`.
 
-- a ring buffer that turns a stream of ``(N,)`` observations into
-  forecasts as soon as a full lookback window is available;
-- optional *novelty-triggered prototype adaptation* (an extension beyond
-  the paper): when an incoming segment's nearest-prototype distance
-  exceeds a drift threshold, the nearest prototype is nudged toward the
-  segment with an exponential moving average, keeping the offline
-  dictionary fresh without re-clustering.
+- **Ingestion** goes through the session's
+  :class:`~repro.serving.session.ObservationRing`, which applies the
+  NaN policy (``reject`` / ``impute_last`` / ``impute_prototype``, see
+  :func:`repro.robustness.health.apply_nan_policy`) before a row touches
+  the ring, with the prototype-mean fill from
+  :meth:`EntitySessionStore.for_model
+  <repro.serving.EntitySessionStore.for_model>`.
+- **Forecasting** is :meth:`MicroBatcher.execute
+  <repro.serving.MicroBatcher.execute>` on one window, with no cache,
+  telemetry, run log or health attached: if the forward raises or
+  returns non-finite values, the configured fallback (persistence or
+  seasonal-naive) answers and ``stats.last_forecast_source`` records
+  which one did.
+- **Health** is a ``HEALTHY → DEGRADED → FAILED``
+  :class:`~repro.robustness.health.HealthMonitor` fed from each
+  response's source, after the optional assignment-drift check (a
+  :class:`~repro.telemetry.DriftConfig`): a drift alarm on a model
+  answer is recorded as a failure, so a silently stale dictionary
+  degrades health before accuracy craters.
+- **Telemetry** (``docs/observability.md``): an attached
+  :class:`~repro.telemetry.MetricsRegistry` receives the ``focus_*``
+  families (forecast latency, per-source forecast counts, NaN-policy,
+  novelty and health counters); a run logger receives
+  ``health_transition``, ``drift_alarm`` and ``stream_stats`` events.
+  With neither attached, none of this touches the hot path.
 
-Long-lived operation additionally requires surviving bad inputs and
-bad model outputs, so the wrapper is hardened end to end:
-
-- **Ingestion guardrails** — every observation passes through a
-  configurable NaN policy (``reject`` / ``impute_last`` /
-  ``impute_prototype``, see
-  :func:`repro.robustness.health.apply_nan_policy`) before touching
-  the ring, so the buffer only ever holds finite values.
-- **Degraded-mode forecasting** — if the model forward raises or
-  returns non-finite values, :meth:`forecast` answers from a
-  model-free fallback (persistence or seasonal-naive) instead of
-  propagating the failure; the result is always finite and its
-  provenance is recorded in ``stats.last_forecast_source``.
-- **Health state machine** — per-forecast outcomes drive a
-  ``HEALTHY → DEGRADED → FAILED`` monitor
-  (:class:`repro.robustness.health.HealthMonitor`), exposed through
-  :attr:`health` and mirrored into :class:`StreamingStats` for
-  monitoring.
-- **Telemetry and drift alarms** (``docs/observability.md``) — an
-  attached :class:`~repro.telemetry.MetricsRegistry` receives
-  forecast-latency histograms, per-prototype utilization counters,
-  assignment-entropy gauges, NaN-policy counters, and health-transition
-  counters; a :class:`~repro.telemetry.DriftConfig` activates the
-  assignment-drift alarm, which records a *failure* on the health
-  monitor when the prototype bank stops describing the stream — so a
-  silently-stale dictionary degrades serving health before accuracy
-  craters.  With neither attached, none of this touches the hot path.
+On top of the shared stack the facade adds one extension beyond the
+paper, *novelty-triggered prototype adaptation*: when an incoming
+segment's nearest-prototype distance exceeds a drift threshold, the
+nearest prototype is nudged toward the segment with an exponential
+moving average, keeping the offline dictionary fresh without
+re-clustering.
 """
 
 from __future__ import annotations
@@ -50,158 +47,12 @@ import time
 
 import numpy as np
 
-from repro import autograd as ag
-from repro.autograd import Tensor
 from repro.core.clustering import composite_distance
 from repro.core.model import FOCUSForecaster
-from repro.robustness.fallback import persistence_forecast, seasonal_naive_forecast
-from repro.robustness.health import (
-    NAN_POLICIES,
-    HealthMonitor,
-    HealthState,
-    apply_nan_policy,
-)
+from repro.robustness.health import HealthMonitor, HealthState, health_reporter
+from repro.serving.batcher import MicroBatcher
+from repro.serving.session import EntitySessionStore, IngestResult
 from repro.telemetry.drift import DriftConfig, DriftMonitor
-
-
-@dataclasses.dataclass(frozen=True)
-class IngestResult:
-    """Outcome of one guarded ring write."""
-
-    accepted: int = 0
-    imputed: int = 0
-    rejected: int = 0
-
-
-class ObservationRing:
-    """Versioned lookback ring buffer with NaN-policy ingestion guards.
-
-    The single-entity heart of both :class:`StreamingFOCUS` and the
-    multi-entity serving layer (:mod:`repro.serving`): fixed ``(L, N)``
-    storage, an O(N) per-row write, and a monotonically increasing
-    :attr:`version` that advances once per *accepted* row — the key the
-    serving :class:`~repro.serving.ForecastCache` uses to guarantee a
-    cached forecast can never be served against newer data.
-
-    Parameters
-    ----------
-    lookback / num_entities:
-        Window geometry ``(L, N)``.
-    dtype:
-        Storage dtype (the model's parameter dtype).
-    nan_policy:
-        One of :data:`repro.robustness.health.NAN_POLICIES`; applied to
-        every incoming row/block before it touches the storage.
-    fill_value:
-        Zero-arg callable providing the scalar fill for the
-        ``impute_prototype`` policy (typically the prototype-dictionary
-        mean); ignored by the other policies.
-    """
-
-    def __init__(
-        self,
-        lookback: int,
-        num_entities: int,
-        dtype=np.float64,
-        nan_policy: str = "reject",
-        fill_value=None,
-    ):
-        if lookback < 1 or num_entities < 1:
-            raise ValueError("lookback and num_entities must be positive")
-        if nan_policy not in NAN_POLICIES:
-            raise ValueError(
-                f"unknown nan_policy {nan_policy!r}; choose from {NAN_POLICIES}"
-            )
-        self.lookback = lookback
-        self.num_entities = num_entities
-        self.nan_policy = nan_policy
-        self._fill_value = fill_value
-        self.storage = np.zeros((lookback, num_entities), dtype=dtype)
-        self.head = 0
-        self.filled = 0
-        self.count = 0  # total accepted rows, ever
-
-    @property
-    def ready(self) -> bool:
-        """True once a full lookback window has been observed."""
-        return self.filled >= self.lookback
-
-    @property
-    def version(self) -> int:
-        """Monotonic content version: bumps once per accepted row."""
-        return self.count
-
-    def last_written_row(self) -> np.ndarray | None:
-        if self.filled == 0:
-            return None
-        # Copy: callers hold this across subsequent writes (and mutating
-        # a returned row must never corrupt the ring).
-        return self.storage[(self.head - 1) % self.lookback].copy()
-
-    def _guard(self, block: np.ndarray) -> tuple[np.ndarray, int, int]:
-        fill = 0.0
-        if self.nan_policy == "impute_prototype" and self._fill_value is not None:
-            fill = float(self._fill_value())
-        return apply_nan_policy(
-            block, self.nan_policy, last_row=self.last_written_row(), fill_value=fill
-        )
-
-    def observe(self, observation: np.ndarray) -> IngestResult:
-        """Guard and write one ``(N,)`` row; returns what happened."""
-        observation = np.asarray(observation, dtype=self.storage.dtype)
-        if observation.shape != (self.num_entities,):
-            raise ValueError(
-                f"expected ({self.num_entities},) observation, "
-                f"got {observation.shape}"
-            )
-        guarded, imputed, rejected = self._guard(observation[None])
-        if len(guarded) == 0:
-            return IngestResult(accepted=0, imputed=imputed, rejected=rejected)
-        self.storage[self.head] = guarded[0]
-        self.head = (self.head + 1) % self.lookback
-        self.filled = min(self.filled + 1, self.lookback)
-        self.count += 1
-        return IngestResult(accepted=1, imputed=imputed, rejected=rejected)
-
-    def observe_many(self, observations: np.ndarray) -> IngestResult:
-        """Guard and write a ``(T, N)`` block of rows."""
-        observations = np.asarray(observations, dtype=self.storage.dtype)
-        if observations.ndim != 2 or observations.shape[1] != self.num_entities:
-            raise ValueError(
-                f"expected (T, {self.num_entities}) block, "
-                f"got {observations.shape}"
-            )
-        observations, imputed, rejected = self._guard(observations)
-        total = len(observations)
-        if total == 0:
-            return IngestResult(accepted=0, imputed=imputed, rejected=rejected)
-        lookback = self.lookback
-        # Only the trailing ``lookback`` rows can survive in the ring.
-        keep = observations[-lookback:]
-        offset = self.head + (total - len(keep))
-        indices = (offset + np.arange(len(keep))) % lookback
-        self.storage[indices] = keep
-        self.head = (self.head + total) % lookback
-        self.filled = min(self.filled + total, lookback)
-        self.count += total
-        return IngestResult(accepted=total, imputed=imputed, rejected=rejected)
-
-    def window(self) -> np.ndarray:
-        """The lookback window in chronological order (oldest first).
-
-        Materialized on demand; slots not yet overwritten hold zeros.
-        Always a fresh copy — never the live ring storage — so callers
-        holding the result do not see it mutate on the next
-        :meth:`observe`.
-        """
-        if self.head == 0:
-            return self.storage.copy()
-        return np.concatenate([self.storage[self.head :], self.storage[: self.head]])
-
-    def recent(self, steps: int) -> np.ndarray:
-        """The last ``steps`` observations in chronological order."""
-        indices = (self.head - steps + np.arange(steps)) % self.lookback
-        return self.storage[indices]
 
 
 @dataclasses.dataclass
@@ -285,46 +136,26 @@ class StreamingFOCUS:
             raise ValueError("novelty_threshold must exceed 1")
         if not 0.0 <= ema < 1.0:
             raise ValueError("ema must lie in [0, 1)")
-        if nan_policy not in NAN_POLICIES:
-            raise ValueError(
-                f"unknown nan_policy {nan_policy!r}; choose from {NAN_POLICIES}"
-            )
-        if fallback not in ("persistence", "seasonal"):
-            raise ValueError(
-                f"unknown fallback {fallback!r}; choose 'persistence' or 'seasonal'"
-            )
-        if fallback == "seasonal" and (seasonal_period is None or seasonal_period < 1):
-            raise ValueError("the seasonal fallback requires a positive seasonal_period")
         self.model = model
-        self.model.eval()
         self.adapt_prototypes = adapt_prototypes
         self.novelty_threshold = novelty_threshold
         self.ema = ema
         self.nan_policy = nan_policy
         self.fallback = fallback
         self.seasonal_period = seasonal_period
-        config = model.config
-        # True ring buffer (see ObservationRing): fixed storage, O(N) row
-        # writes, ingestion guards, and a content version.  StreamingFOCUS
-        # is now a thin single-entity wrapper over the same primitive the
-        # multi-entity serving layer (repro.serving) builds on.
-        model_dtype = next(iter(model.parameters())).data.dtype
-        self.ring = ObservationRing(
-            config.lookback,
-            config.num_entities,
-            dtype=model_dtype,
-            nan_policy=nan_policy,
-            fill_value=self._imputation_fill,
+        self._session = EntitySessionStore.for_model(
+            model, nan_policy=nan_policy
+        ).session("stream")
+        self.ring = self._session.ring
+        self._batcher = MicroBatcher(
+            model, fallback=fallback, seasonal_period=seasonal_period
         )
         self._distance_history: list[float] = []
-        self._telemetry = telemetry
         self._run_logger = run_logger
         self._health = HealthMonitor(
             fail_threshold=fail_threshold,
             recover_after=recover_after,
-            on_transition=self._on_health_transition
-            if (telemetry is not None or run_logger is not None)
-            else None,
+            on_transition=health_reporter("focus_", telemetry, run_logger),
         )
         self.stats = StreamingStats()
         self.drift_monitor: DriftMonitor | None = None
@@ -335,7 +166,7 @@ class StreamingFOCUS:
                     "(the attn/linear variants have no dictionary)"
                 )
             self.drift_monitor = DriftMonitor(
-                config.num_prototypes,
+                model.config.num_prototypes,
                 config=drift,
                 registry=telemetry,
                 run_logger=run_logger,
@@ -380,30 +211,7 @@ class StreamingFOCUS:
                     "focus_novelty_rate",
                     help="novel segments per observed segment",
                 ),
-                "health": telemetry.gauge(
-                    "focus_health_state",
-                    help="0=HEALTHY 1=DEGRADED 2=FAILED",
-                ),
             }
-
-    _HEALTH_LEVELS = {
-        HealthState.HEALTHY.value: 0,
-        HealthState.DEGRADED.value: 1,
-        HealthState.FAILED.value: 2,
-    }
-
-    def _on_health_transition(self, src: str, dst: str, reason: str, tick: int) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "focus_health_transitions_total", labels={"to": dst},
-                help="serving-health state changes",
-            ).inc()
-            self._instruments["health"].set(self._HEALTH_LEVELS[dst])
-        if self._run_logger is not None:
-            self._run_logger.event(
-                "health_transition",
-                **{"from": src, "to": dst, "reason": reason, "tick": tick},
-            )
 
     @property
     def ready(self) -> bool:
@@ -415,40 +223,9 @@ class StreamingFOCUS:
         """Current serving-health state of the stream."""
         return self._health.state
 
-    # Backwards-compatible views of the ring internals (tests and
-    # analysis code reach for these).
-    @property
-    def _ring(self) -> np.ndarray:
-        return self.ring.storage
-
-    @property
-    def _head(self) -> int:
-        return self.ring.head
-
-    @property
-    def _filled(self) -> int:
-        return self.ring.filled
-
-    @property
-    def _buffer(self) -> np.ndarray:
-        """The lookback window in chronological order (always a copy)."""
-        return self.ring.window()
-
-    def _recent(self, steps: int) -> np.ndarray:
-        """The last ``steps`` observations in chronological order."""
-        return self.ring.recent(steps)
-
     # ------------------------------------------------------------------
-    # Ingestion guardrails
+    # Ingestion
     # ------------------------------------------------------------------
-    def _imputation_fill(self) -> float:
-        """Scalar fill for prototype-mean imputation (0 without prototypes)."""
-        values = getattr(self.model, "prototype_values", None)
-        prototypes = values() if callable(values) else None
-        if prototypes is None or prototypes.size == 0:
-            return 0.0
-        return float(np.mean(prototypes))
-
     def _note_ingest(self, result: IngestResult) -> None:
         self.stats.observations += result.accepted
         self.stats.imputed_values += result.imputed
@@ -466,7 +243,7 @@ class StreamingFOCUS:
         ``"reject"`` a bad observation is dropped entirely (the ring and
         the ``observations`` counter are untouched).
         """
-        result = self.ring.observe(observation)
+        result = self._session.observe(observation)
         self._note_ingest(result)
         p = self.model.config.segment_length
         if (
@@ -475,7 +252,7 @@ class StreamingFOCUS:
             and self.ring.filled >= p
             and self.stats.observations % p == 0
         ):
-            self._maybe_adapt(self._recent(p))
+            self._maybe_adapt(self.ring.recent(p))
 
     def observe_many(self, observations: np.ndarray) -> None:
         """Push a ``(T, N)`` block of observations."""
@@ -486,17 +263,11 @@ class StreamingFOCUS:
             for row in observations:
                 self.observe(row)
             return
-        self._note_ingest(self.ring.observe_many(observations))
+        self._note_ingest(self._session.observe_many(observations))
 
     # ------------------------------------------------------------------
-    # Forecasting (with degraded-mode fallback)
+    # Forecasting
     # ------------------------------------------------------------------
-    def _fallback_forecast(self, window: np.ndarray) -> np.ndarray:
-        horizon = self.model.config.horizon
-        if self.fallback == "seasonal":
-            return seasonal_naive_forecast(window, horizon, self.seasonal_period)
-        return persistence_forecast(window, horizon)
-
     def forecast(self) -> np.ndarray:
         """Forecast the next ``horizon`` steps from the current buffer.
 
@@ -508,27 +279,17 @@ class StreamingFOCUS:
         """
         if not self.ready:
             raise RuntimeError(
-                f"need {self.model.config.lookback} observations, have {self._filled}"
+                f"need {self.model.config.lookback} observations, "
+                f"have {self.ring.filled}"
             )
         instruments = self._instruments
         started = time.perf_counter() if instruments is not None else 0.0
-        window = self._buffer
-        failure = None
-        prediction = None
-        try:
-            with ag.no_grad():
-                # .astype always copies: the returned array must never
-                # alias engine-owned buffers (the PR 2 _buffer aliasing
-                # bug's sibling — callers are free to mutate forecasts).
-                prediction = self.model(Tensor(window[None])).data[0].astype(
-                    np.float64
-                )
-            if not np.isfinite(prediction).all():
-                failure = "non-finite model output"
-        except Exception as error:  # noqa: BLE001 — serving must not crash
-            failure = f"model forward raised {type(error).__name__}: {error}"
+        window, version = self._session.snapshot()
+        (response,) = self._batcher.execute([(self._session, window, version)])
         self.stats.forecasts += 1
-        if failure is None:
+        self.stats.last_forecast_source = response.source
+        from_model = response.source == "model"
+        if from_model:
             # Drift is judged only on model answers: a fallback window
             # says nothing about the prototype bank.
             drift_reason = self._check_drift(window)
@@ -536,23 +297,19 @@ class StreamingFOCUS:
                 self._health.record_success()
             else:
                 self._health.record_failure(drift_reason)
-            self.stats.health = self._health.state.value
-            self.stats.last_forecast_source = "model"
-            if instruments is not None:
-                instruments["model"].inc()
-                instruments["latency"].observe(time.perf_counter() - started)
-            return prediction
-        self.stats.model_failures += 1
-        self.stats.fallback_forecasts += 1
-        self._health.record_failure(failure)
+        else:
+            self.stats.model_failures += 1
+            self.stats.fallback_forecasts += 1
+            self._health.record_failure(response.failure)
         self.stats.health = self._health.state.value
-        self.stats.last_forecast_source = f"fallback:{self.fallback}"
-        result = self._fallback_forecast(window)
         if instruments is not None:
-            instruments["failures"].inc()
-            instruments["fallback"].inc()
+            if from_model:
+                instruments["model"].inc()
+            else:
+                instruments["failures"].inc()
+                instruments["fallback"].inc()
             instruments["latency"].observe(time.perf_counter() - started)
-        return result
+        return response.forecast
 
     def set_prototypes(self, prototypes: np.ndarray) -> None:
         """Hot-swap the prototype dictionary and re-arm drift detection.

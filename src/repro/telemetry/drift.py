@@ -21,7 +21,7 @@ Per forecast it records
 
 When drift stays above ``threshold`` for ``alarm_streak`` consecutive
 forecasts the monitor fires its alarm callback — wired by
-:class:`~repro.core.streaming.StreamingFOCUS` into the
+:class:`~repro.serving.StreamingFOCUS` into the
 :class:`~repro.robustness.health.HealthMonitor`, so a stale prototype
 bank degrades serving health *before* forecast error craters.
 """

@@ -1,10 +1,12 @@
-"""Tests for the streaming FOCUS wrapper."""
+"""Tests for the streaming FOCUS facade (a serving-stack front door)."""
 
 import numpy as np
 import pytest
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
+from repro.serving import StreamingFOCUS
+
+pytestmark = pytest.mark.serve
 
 
 def make_model(rng, lookback=24, horizon=6, entities=3, p=6, k=4):
@@ -38,7 +40,7 @@ class TestBuffering:
         stream = StreamingFOCUS(model)
         data = rng.standard_normal((40, 3))
         stream.observe_many(data)
-        assert np.allclose(stream._buffer, data[-24:])
+        assert np.allclose(stream.ring.window(), data[-24:])
 
     def test_matches_batch_forecast(self, rng):
         """Streaming forecast equals calling the model on the same window."""
@@ -51,7 +53,7 @@ class TestBuffering:
         streamed = stream.forecast()
         with ag.no_grad():
             direct = model(ag.Tensor(data[-24:][None])).data[0]
-        assert np.allclose(streamed, direct)
+        assert np.array_equal(streamed, direct)
 
     def test_wrong_observation_shape(self, rng):
         stream = StreamingFOCUS(make_model(rng))
@@ -80,7 +82,7 @@ class TestBuffering:
             stream.observe(row)
             reference = np.roll(reference, -1, axis=0)
             reference[-1] = row
-            assert np.array_equal(stream._buffer, reference), f"step {step}"
+            assert np.array_equal(stream.ring.window(), reference), f"step {step}"
 
     def test_observe_many_matches_single_observes(self, rng):
         model = make_model(rng)
@@ -92,7 +94,7 @@ class TestBuffering:
             chunked.observe_many(data[start:end])
         for row in data:
             stepped.observe(row)
-        assert np.array_equal(chunked._buffer, stepped._buffer)
+        assert np.array_equal(chunked.ring.window(), stepped.ring.window())
         assert chunked.stats.observations == stepped.stats.observations == 57
 
     def test_observe_does_not_reallocate_storage(self, rng):
@@ -100,11 +102,11 @@ class TestBuffering:
         array object must never be replaced (the old implementation
         rebuilt the full (L, N) buffer with np.roll on every step)."""
         stream = StreamingFOCUS(make_model(rng))
-        storage = stream._ring
+        storage = stream.ring.storage
         stream.observe_many(rng.standard_normal((60, 3)))
         for _ in range(10):
             stream.observe(rng.standard_normal(3))
-        assert stream._ring is storage
+        assert stream.ring.storage is storage
 
 
 class TestBufferIsolation:
@@ -114,9 +116,9 @@ class TestBufferIsolation:
         next observe()."""
         stream = StreamingFOCUS(make_model(rng))
         stream.observe_many(rng.standard_normal((24, 3)))  # exactly lookback
-        assert stream._head == 0
-        held = stream._buffer
-        assert held is not stream._ring
+        assert stream.ring.head == 0
+        held = stream.ring.window()
+        assert held is not stream.ring.storage
         snapshot = held.copy()
         stream.observe(rng.standard_normal(3))
         assert np.array_equal(held, snapshot)
@@ -124,8 +126,8 @@ class TestBufferIsolation:
     def test_buffer_not_aliased_mid_ring(self, rng):
         stream = StreamingFOCUS(make_model(rng))
         stream.observe_many(rng.standard_normal((30, 3)))
-        assert stream._head != 0
-        held = stream._buffer
+        assert stream.ring.head != 0
+        held = stream.ring.window()
         snapshot = held.copy()
         stream.observe_many(rng.standard_normal((5, 3)))
         assert np.array_equal(held, snapshot)
@@ -134,8 +136,8 @@ class TestBufferIsolation:
         stream = StreamingFOCUS(make_model(rng))
         data = rng.standard_normal((24, 3))
         stream.observe_many(data)
-        stream._buffer[:] = np.nan
-        assert np.array_equal(stream._buffer, data)
+        stream.ring.window()[:] = np.nan
+        assert np.array_equal(stream.ring.window(), data)
 
 
 class TestObserveManyWraparound:
@@ -146,9 +148,9 @@ class TestObserveManyWraparound:
         chunked.observe_many(block)
         for row in block:
             stepped.observe(row)
-        assert np.array_equal(chunked._buffer, block[-24:])
-        assert np.array_equal(chunked._buffer, stepped._buffer)
-        assert chunked._head == stepped._head
+        assert np.array_equal(chunked.ring.window(), block[-24:])
+        assert np.array_equal(chunked.ring.window(), stepped.ring.window())
+        assert chunked.ring.head == stepped.ring.head
         assert chunked.ready
 
     def test_block_landing_exactly_on_ring_boundary(self, rng):
@@ -159,13 +161,13 @@ class TestObserveManyWraparound:
         chunked.observe_many(data[7:])  # lands the head exactly on slot 0
         for row in data:
             stepped.observe(row)
-        assert chunked._head == 0
-        assert np.array_equal(chunked._buffer, stepped._buffer)
+        assert chunked.ring.head == 0
+        assert np.array_equal(chunked.ring.window(), stepped.ring.window())
         # A full-lookback block from the boundary wraps back to it.
         more = rng.standard_normal((24, 3))
         chunked.observe_many(more)
-        assert chunked._head == 0
-        assert np.array_equal(chunked._buffer, more)
+        assert chunked.ring.head == 0
+        assert np.array_equal(chunked.ring.window(), more)
 
     def test_equivalence_on_an_already_wrapped_stream(self, rng):
         """Chunked and stepped ingestion agree even after the ring has
@@ -181,8 +183,8 @@ class TestObserveManyWraparound:
             chunked.observe_many(block)
             for row in block:
                 stepped.observe(row)
-            assert np.array_equal(chunked._buffer, stepped._buffer), size
-            assert chunked._head == stepped._head
+            assert np.array_equal(chunked.ring.window(), stepped.ring.window()), size
+            assert chunked.ring.head == stepped.ring.head
         assert chunked.stats.observations == stepped.stats.observations
 
 

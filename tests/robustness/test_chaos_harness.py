@@ -5,6 +5,7 @@ import pytest
 
 from repro import autograd as ag
 from repro.baselines import DLinear
+from repro.core import FOCUSConfig, FOCUSForecaster
 from repro.nn import init
 from repro.robustness import ChaosError, ChaosModel, ChaosSpec
 
@@ -31,6 +32,26 @@ class TestSchedule:
             else:
                 assert np.isfinite(out.data).all(), f"call {call} should be clean"
         assert model.injected_nans == 3
+
+    def test_forecast_batch_runs_the_same_schedule(self):
+        """The batched serving entry point is faulted too, one schedule
+        call per batch, sharing the counter with forward()."""
+        config = FOCUSConfig(
+            lookback=12, horizon=4, num_entities=2, segment_length=4,
+            num_prototypes=3, d_model=8, num_readout=2,
+        )
+        inner = FOCUSForecaster(config, prototypes=np.eye(3, 4))
+        model = ChaosModel(inner, ChaosSpec(nan_every=2, fail_every=3))
+        windows = np.random.default_rng(0).standard_normal((5, 12, 2))
+        clean = model.forecast_batch(windows)
+        assert clean.shape == (5, 4, 2) and np.isfinite(clean).all()
+        poisoned = model.forecast_batch(windows)
+        assert poisoned.shape == clean.shape and np.isnan(poisoned).all()
+        with pytest.raises(ChaosError, match="call 3"):
+            model.forecast_batch(windows, engine="eager")
+        assert model.calls == 3
+        assert (model.injected_nans, model.injected_failures) == (1, 1)
+        assert model.injection_log == [(2, "nan"), (3, "fail")]
 
     def test_failure_injection_raises(self, rng):
         model = wrapped(ChaosSpec(fail_every=2))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
 from repro.robustness import (
     ChaosError,
     ChaosModel,
@@ -15,6 +14,7 @@ from repro.robustness import (
     persistence_forecast,
     seasonal_naive_forecast,
 )
+from repro.serving import StreamingFOCUS
 
 LOOKBACK, HORIZON, ENTITIES = 24, 6, 3
 
@@ -31,13 +31,13 @@ class TestNanPolicies:
     def test_reject_drops_bad_rows(self, rng):
         stream = StreamingFOCUS(make_model(rng), nan_policy="reject")
         stream.observe_many(rng.standard_normal((LOOKBACK, ENTITIES)))
-        window_before = stream._buffer
+        window_before = stream.ring.window()
         bad = rng.standard_normal(ENTITIES)
         bad[1] = np.nan
         stream.observe(bad)
         assert stream.stats.rejected_observations == 1
         assert stream.stats.observations == LOOKBACK
-        assert np.array_equal(stream._buffer, window_before)
+        assert np.array_equal(stream.ring.window(), window_before)
 
     def test_reject_filters_rows_inside_block(self, rng):
         stream = StreamingFOCUS(make_model(rng), nan_policy="reject")
@@ -48,7 +48,7 @@ class TestNanPolicies:
         assert stream.stats.observations == 8
         assert stream.stats.rejected_observations == 2
         clean = block[np.isfinite(block).all(axis=1)]
-        assert np.array_equal(stream._buffer[-8:], clean)
+        assert np.array_equal(stream.ring.window()[-8:], clean)
 
     def test_impute_last_forward_fills_per_entity(self, rng):
         stream = StreamingFOCUS(make_model(rng), nan_policy="impute_last")
@@ -57,21 +57,21 @@ class TestNanPolicies:
         bad = np.array([np.nan, 5.0, np.inf])
         stream.observe(bad)
         assert stream.stats.imputed_values == 2
-        assert np.array_equal(stream._buffer[-1], [1.0, 5.0, 3.0])
-        assert np.isfinite(stream._ring).all()
+        assert np.array_equal(stream.ring.window()[-1], [1.0, 5.0, 3.0])
+        assert np.isfinite(stream.ring.storage).all()
 
     def test_impute_last_without_history_uses_zero(self, rng):
         stream = StreamingFOCUS(make_model(rng), nan_policy="impute_last")
         stream.observe(np.array([np.nan, 1.0, np.nan]))
-        assert np.array_equal(stream._buffer[-1], [0.0, 1.0, 0.0])
+        assert np.array_equal(stream.ring.window()[-1], [0.0, 1.0, 0.0])
 
     def test_impute_prototype_uses_dictionary_mean(self, rng):
         model = make_model(rng)
         stream = StreamingFOCUS(model, nan_policy="impute_prototype")
         fill = float(np.mean(model.prototype_values()))
         stream.observe(np.array([np.nan, 7.0, 7.0]))
-        assert stream._buffer[-1, 0] == pytest.approx(fill)
-        assert np.array_equal(stream._buffer[-1, 1:], [7.0, 7.0])
+        assert stream.ring.window()[-1, 0] == pytest.approx(fill)
+        assert np.array_equal(stream.ring.window()[-1, 1:], [7.0, 7.0])
 
     def test_unknown_policy_rejected(self, rng):
         with pytest.raises(ValueError, match="nan_policy"):

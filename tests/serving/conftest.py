@@ -10,6 +10,8 @@ fixtures are reproducible.
 import numpy as np
 import pytest
 
+from repro import autograd as ag
+from repro.autograd import Tensor
 from repro.core.model import FOCUSConfig, FOCUSForecaster
 from repro.nn import init as nn_init
 
@@ -36,6 +38,18 @@ def build_model(dtype: str = "float64") -> FOCUSForecaster:
         model = FOCUSForecaster.from_training_data(config, history.astype(dtype))
     model.eval()
     return model
+
+
+def eager_forecast(model: FOCUSForecaster, window: np.ndarray) -> np.ndarray:
+    """The batched ≡ sequential oracle: one single-window eager forward.
+
+    Touches no serving code (no session, batcher, cache or fallback), so
+    comparing a served forecast against it is never circular.  The
+    window is cast to the model's dtype, as a session ring stores it.
+    """
+    dtype = next(iter(model.parameters())).data.dtype
+    with ag.no_grad():
+        return model(Tensor(np.asarray(window, dtype=dtype)[None])).data[0]
 
 
 @pytest.fixture(scope="module")

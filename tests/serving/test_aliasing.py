@@ -12,8 +12,7 @@ system's subsequent behavior is unchanged.
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamingFOCUS
-from repro.serving import ForecastCache, ForecastServer, ServingConfig
+from repro.serving import ForecastCache, ForecastServer, ServingConfig, StreamingFOCUS
 
 from .conftest import LOOKBACK, NUM_ENTITIES
 
@@ -35,9 +34,9 @@ def test_streaming_forecast_not_aliased(warmed_stream):
 
 
 def test_streaming_buffer_property_not_aliased(warmed_stream):
-    window = warmed_stream._buffer
+    window = warmed_stream.ring.window()
     window[:] = np.nan
-    assert np.isfinite(warmed_stream._buffer).all()
+    assert np.isfinite(warmed_stream.ring.window()).all()
     assert np.isfinite(warmed_stream.forecast()).all()
 
 

@@ -21,10 +21,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamingFOCUS
 from repro.serving import ForecastServer, ServingConfig
 
-from .conftest import LOOKBACK, NUM_ENTITIES
+from .conftest import LOOKBACK, NUM_ENTITIES, eager_forecast
 
 pytestmark = pytest.mark.serve
 
@@ -128,8 +127,8 @@ def test_no_stale_serving(hammer, model):
     """Each response matches a fresh forecast at its recorded ring version.
 
     Rebuilds every (entity, version) window from the journal prefix and
-    recomputes through the single-entity streaming oracle; cache hits
-    and model answers alike must agree bit-for-bit.
+    recomputes it with a single-window eager forward; cache hits and
+    model answers alike must agree bit-for-bit.
     """
     server, responses = hammer
     oracle_cache: dict[tuple[str, int], np.ndarray] = {}
@@ -137,18 +136,19 @@ def test_no_stale_serving(hammer, model):
         key = (response.entity, response.ring_version)
         expected = oracle_cache.get(key)
         if expected is None:
-            stream = StreamingFOCUS(model)
+            # Every journaled row is finite, so the default reject guard
+            # accepts them all: the ring holds the last LOOKBACK rows.
+            prefix = []
             remaining = response.ring_version
             for kind, payload in server.store.session(response.entity).journal:
                 rows = payload[None] if kind == "observe" else payload
                 take = min(len(rows), remaining)
-                if take:
-                    stream.observe_many(rows[:take])
+                prefix.append(rows[:take])
                 remaining -= take
                 if remaining == 0:
                     break
             assert remaining == 0, "response version exceeds journaled rows"
-            expected = stream.forecast()
+            expected = eager_forecast(model, np.concatenate(prefix)[-LOOKBACK:])
             oracle_cache[key] = expected
         assert np.array_equal(response.forecast, expected), (
             f"stale or wrong forecast for {response.entity} "

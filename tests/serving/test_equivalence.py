@@ -2,9 +2,10 @@
 
 The serving subsystem's core claim: for every entity, the forecast
 produced by the micro-batched ``(B, L, N)`` forward is **bit-identical**
-(float64) to what a single-entity :class:`StreamingFOCUS` would have
-produced from the same observations — regardless of batch size, batch
-composition, or which NaN policies its batchmates use.  Float32 models
+(float64) to a single-window eager forward of the same guarded
+observations (:func:`conftest.eager_forecast`, which shares no code with
+the serving stack) — regardless of batch size, batch composition, or
+which NaN policies its batchmates use.  Float32 models
 are held to 1e-4 (accumulated rounding differs across BLAS paths).
 
 Covers explicit batch sizes {1, 3, k, 4k} (k = max_batch of the default
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.streaming import StreamingFOCUS
+from repro.robustness.health import apply_nan_policy
 from repro.serving import ForecastServer, ServingConfig
 
-from .conftest import LOOKBACK, NUM_ENTITIES
+from .conftest import LOOKBACK, NUM_ENTITIES, eager_forecast
 
 pytestmark = pytest.mark.serve
 
@@ -40,10 +41,14 @@ def make_streams(n_entities, steps, seed, nan_every=0):
 
 
 def sequential_forecast(model, data, nan_policy="reject"):
-    """The oracle: one entity, one window at a time, through streaming."""
-    stream = StreamingFOCUS(model, nan_policy=nan_policy)
-    stream.observe_many(data)
-    return stream.forecast()
+    """The oracle: guard one entity's stream, forecast its last window
+    with a single-window eager forward."""
+    fill = 0.0
+    if nan_policy == "impute_prototype":
+        fill = float(np.mean(model.prototype_values()))
+    clean, _, _ = apply_nan_policy(np.asarray(data), nan_policy, fill_value=fill)
+    assert len(clean) >= LOOKBACK, "oracle stream shorter than the lookback"
+    return eager_forecast(model, clean[-LOOKBACK:])
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, BATCH_K, 4 * BATCH_K])

@@ -437,6 +437,11 @@ class TestLifecycle:
             FleetConfig(max_inflight=0)
         with pytest.raises(ValueError, match="nan_policy"):
             FleetConfig(nan_policy="wat")
+        # Rejected at construction, never by a spawned worker dying on it.
+        with pytest.raises(ValueError, match="fallback"):
+            FleetConfig(fallback="wat")
+        with pytest.raises(ValueError, match="seasonal_period"):
+            FleetConfig(fallback="seasonal")
 
     def test_ping_all_workers(self, router):
         assert router.ping() == {0: True, 1: True}

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.robustness import ChaosModel, ChaosSpec, persistence_forecast
 from repro.serving import (
     BATCH_SIZE_BUCKETS,
     ForecastServer,
@@ -22,7 +23,7 @@ from repro.serving import (
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.runlog import RunLogger, validate_event
 
-from .conftest import LOOKBACK, NUM_ENTITIES
+from .conftest import HORIZON, LOOKBACK, NUM_ENTITIES
 
 pytestmark = pytest.mark.serve
 
@@ -134,6 +135,34 @@ def test_nonfinite_model_output_falls_back(model, rng):
     assert server.stats()["health"] == "DEGRADED"
 
 
+@pytest.mark.chaos
+@pytest.mark.parametrize(
+    "spec, counter",
+    [
+        (ChaosSpec(fail_every=1), "injected_failures"),
+        (ChaosSpec(nan_every=1), "injected_nans"),
+    ],
+)
+def test_chaos_faults_reach_the_batched_forward(model, rng, spec, counter):
+    """Faults injected by ChaosModel fire on the batched serving path."""
+    chaos = ChaosModel(model, spec)
+    server = ForecastServer(chaos, ServingConfig(use_cache=False))
+    warm(server, ["a", "b"], rng)
+    for round_ in range(1, 3):
+        responses = server.forecast_many(["a", "b"])
+        assert [r.source for r in responses] == ["fallback:persistence"] * 2
+        for response in responses:
+            window, _ = server.store.session(response.entity).snapshot()
+            np.testing.assert_array_equal(
+                response.forecast, persistence_forecast(window, HORIZON)
+            )
+        # One batched forward per round: one call of the schedule.
+        assert chaos.calls == round_
+        assert getattr(chaos, counter) == round_
+    assert server.stats()["fallback_forecasts"] == 4
+    assert server.stats()["health"] == "DEGRADED"
+
+
 def test_telemetry_instruments_wired(model, rng):
     telemetry = MetricsRegistry()
     server = ForecastServer(model, ServingConfig(queue_capacity=1), telemetry=telemetry)
@@ -197,6 +226,10 @@ def test_config_validation(model):
         ServingConfig(queue_capacity=0)
     with pytest.raises(ValueError, match="nan_policy"):
         ServingConfig(nan_policy="wat")
+    with pytest.raises(ValueError, match="fallback"):
+        ServingConfig(fallback="wat")
+    with pytest.raises(ValueError, match="seasonal_period"):
+        ServingConfig(fallback="seasonal")
     with pytest.raises(ValueError, match="fallback"):
         MicroBatcher(model, fallback="wat")
     with pytest.raises(ValueError, match="seasonal_period"):

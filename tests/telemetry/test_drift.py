@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
 from repro.robustness import HealthState
+from repro.serving import StreamingFOCUS
 from repro.telemetry import (
     DriftConfig,
     DriftMonitor,

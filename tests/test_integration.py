@@ -13,9 +13,9 @@ from repro.core import (
     SegmentClusterer,
     make_focus_variant,
 )
-from repro.core.streaming import StreamingFOCUS
 from repro.data import load_dataset
 from repro.profiling import profile_model
+from repro.serving import StreamingFOCUS
 from repro.training import (
     ExperimentConfig,
     Trainer,
@@ -98,7 +98,7 @@ class TestEndToEndPipeline:
         streamed = stream.forecast()
         with ag.no_grad():
             direct = model(ag.Tensor(data.test[None, :LOOKBACK])).data[0]
-        assert np.allclose(streamed, direct)
+        assert np.array_equal(streamed, direct)
 
     def test_backtest_on_trained_model(self, data, trained_focus):
         model, _ = trained_focus
