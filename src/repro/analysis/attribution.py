@@ -63,21 +63,23 @@ def prototype_importance(
     try:
         for proto in range(k):
             for mixer, original in zip(mixers, originals):
-                def masked(segments, mixer=mixer, original=original, proto=proto):
+                def masked(segments, original=original, proto=proto):
                     weights = original(segments)
                     weights = weights.copy()
                     weights[..., proto] = 0.0
                     return weights
 
+                # An instance-level override: ProtoAttn then routes
+                # through this matrix instead of its hard-routing gather.
                 mixer.assignment_weights = masked
             with ag.no_grad():
                 knocked = model(Tensor(windows)).data
             importance[proto] = float(np.abs(knocked - baseline).mean())
-            for mixer, original in zip(mixers, originals):
-                mixer.assignment_weights = original
     finally:
-        for mixer, original in zip(mixers, originals):
-            mixer.assignment_weights = original
+        # Drop the overrides (not re-assign the bound originals, which
+        # would stay instance-level and keep the gather disabled).
+        for mixer in mixers:
+            vars(mixer).pop("assignment_weights", None)
     return AttributionResult(
         importance=importance, usage=usage, baseline_forecast=baseline
     )

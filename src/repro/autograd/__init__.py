@@ -87,7 +87,7 @@ from repro.autograd.shape_ops import (
 )
 from repro.autograd.linalg_ops import matmul, outer
 from repro.autograd.grad_check import gradcheck
-from repro.autograd.capture import GraphCapture, active_capture, capture_graph
+from repro.autograd.capture import GraphCapture, active_capture, capture_graph, replayable
 
 __all__ = [
     "Tensor",
@@ -109,6 +109,7 @@ __all__ = [
     "GraphCapture",
     "active_capture",
     "capture_graph",
+    "replayable",
     # math
     "abs",
     "clip",

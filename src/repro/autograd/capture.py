@@ -17,7 +17,7 @@ one input's data into every future replay.  Plan compilation therefore
 rejects any traced leaf that was born during capture unless it was
 explicitly blessed as input-independent (scalar operands are blessed
 automatically; model code blesses buffers via :meth:`GraphCapture.constant`
-or routes data-dependent values through :meth:`GraphCapture.custom`).
+or computes data-dependent values through :func:`replayable`).
 """
 
 from __future__ import annotations
@@ -29,15 +29,21 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, _set_capture, active_capture
 
-__all__ = ["CapturedNode", "GraphCapture", "capture_graph", "active_capture"]
+__all__ = [
+    "CapturedNode",
+    "GraphCapture",
+    "capture_graph",
+    "active_capture",
+    "replayable",
+]
 
 
 class CapturedNode:
     """One recorded op: output tensor, parent tensors, and replay info.
 
     ``replay`` is None for ordinary ops (the plan compiler looks the
-    kernel up by ``op_name``); custom nodes carry their own replay
-    callable ``replay(srcs, out, scratch, extras) -> ndarray``.
+    kernel up by ``op_name``); :func:`replayable` nodes carry their own
+    replay callable ``replay(srcs, out, scratch, extras) -> ndarray``.
     """
 
     __slots__ = ("index", "tensor", "parents", "op_name", "extras", "replay")
@@ -85,8 +91,15 @@ class GraphCapture:
         self.input_ids: set[int] = set()
 
     # -- hooks called from repro.autograd.tensor ------------------------
-    def record_op(self, out: Tensor, parents: Sequence[Tensor], op_name: str, extras):
-        node = CapturedNode(len(self.order), out, parents, op_name, extras)
+    def record_op(
+        self,
+        out: Tensor,
+        parents: Sequence[Tensor],
+        op_name: str,
+        extras,
+        replay: Callable | None = None,
+    ):
+        node = CapturedNode(len(self.order), out, parents, op_name, extras, replay)
         self.nodes[id(out)] = node
         self.order.append(node)
 
@@ -110,26 +123,6 @@ class GraphCapture:
         self.bless(out)
         return out
 
-    def custom(
-        self,
-        op_name: str,
-        out_data: np.ndarray,
-        parents: Sequence[Tensor],
-        replay: Callable,
-        extras=None,
-    ) -> Tensor:
-        """Record a data-dependent computation with its own replay closure.
-
-        ``replay(srcs, out, scratch, extras)`` receives the replayed
-        parent arrays (same order as ``parents``) and must return the
-        node's value, recomputing anything input-dependent from them.
-        """
-        out = Tensor._wrap(out_data)
-        node = CapturedNode(len(self.order), out, parents, op_name, extras, replay)
-        self.nodes[id(out)] = node
-        self.order.append(node)
-        return out
-
 
 @contextlib.contextmanager
 def capture_graph():
@@ -140,3 +133,26 @@ def capture_graph():
         yield capture
     finally:
         _set_capture(None)
+
+
+def replayable(
+    name: str,
+    fn: Callable[[list, dict], np.ndarray],
+    parents: Sequence[Tensor],
+) -> Tensor:
+    """Compute a non-differentiable, input-dependent value of ``parents``.
+
+    ``fn(parent_arrays, scratch)`` runs now on the parents' data with a
+    fresh ``scratch`` dict; its result comes back as a Tensor without
+    gradient.  Under an active capture the same ``fn`` is also recorded
+    as the node's replay, so a plan recomputes the value from the
+    replayed parents (with one ``scratch`` dict per arena, kept across
+    replays) instead of baking in the traced input's value.
+    """
+    out = Tensor._wrap(fn([parent.data for parent in parents], {}))
+    capture = active_capture()
+    if capture is not None:
+        capture.record_op(
+            out, parents, name, None, lambda srcs, _out, scratch, _extras: fn(srcs, scratch)
+        )
+    return out

@@ -38,8 +38,10 @@ _ALLOC_OBSERVER = None
 # active on a thread, every op construction and every leaf-Tensor birth is
 # reported to it so the forward can be lowered to a replayable plan.  The
 # global counter is a fast guard so the uncaptured hot path pays one module
-# lookup instead of a thread-local getattr per op.
+# lookup instead of a thread-local getattr per op.  Updates take the lock
+# (captures start and end on several threads); reads stay lock-free.
 _CAPTURE_COUNT = 0
+_CAPTURE_LOCK = threading.Lock()
 _CAPTURE_STATE = threading.local()
 
 
@@ -57,10 +59,9 @@ def _set_capture(capture) -> None:
     if capture is not None and previous is not None:
         raise RuntimeError("a graph capture is already active on this thread")
     _CAPTURE_STATE.capture = capture
-    if capture is not None:
-        _CAPTURE_COUNT += 1
-    elif previous is not None:
-        _CAPTURE_COUNT -= 1
+    if capture is not None or previous is not None:
+        with _CAPTURE_LOCK:
+            _CAPTURE_COUNT += 1 if capture is not None else -1
 
 
 def set_op_observer(observer) -> None:

@@ -640,6 +640,8 @@ def _cmd_monitor(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
+    from repro.robustness.health import ENGINES, NAN_POLICIES
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -726,13 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--forecast-every", type=int, default=8,
                        help="request a forecast every N steps per entity")
     serve.add_argument("--max-batch", type=int, default=32)
-    serve.add_argument("--engine", default="eager", choices=["eager", "plan"],
+    serve.add_argument("--engine", default="eager", choices=ENGINES,
                        help="forward engine for batched forecasts: 'eager' "
                             "(reference) or 'plan' (compiled execution plans, "
                             "bit-identical in float64; see docs/api.md)")
     serve.add_argument("--queue-capacity", type=int, default=256)
-    serve.add_argument("--nan-policy", default="reject",
-                       choices=["reject", "impute_last", "impute_prototype"])
+    serve.add_argument("--nan-policy", default="reject", choices=NAN_POLICIES)
     serve.add_argument("--threaded", action="store_true",
                        help="use the background batching worker instead of "
                             "synchronous draining")

@@ -29,34 +29,129 @@ from repro.data.segments import segment_series
 from repro.optim import AdamW
 
 
+def _distance_state(
+    workspace: dict | None, segments: np.ndarray, prototypes: np.ndarray
+) -> dict:
+    """Scratch buffers and prototype statistics for one ``(n, p) x (k, p)`` call.
+
+    Kept in ``workspace["distance"]`` and rebuilt when the segment shape
+    or dtype, or the prototype array object, changes.  Buffer dtypes
+    follow numpy's promotion of the plain expressions: per-segment
+    quantities in the segment dtype, ``(n, k)`` ones in the common dtype.
+    """
+    state = None if workspace is None else workspace.get("distance")
+    if (
+        state is not None
+        and state["prototypes"] is prototypes
+        and state["segments"] == (segments.shape, segments.dtype)
+    ):
+        return state
+    n, k = segments.shape[0], prototypes.shape[0]
+    seg_dtype = segments.dtype
+    dtype = np.result_type(segments, prototypes)
+    pro_centered = prototypes - prototypes.mean(axis=1, keepdims=True)
+    state = {
+        "prototypes": prototypes,
+        "segments": (segments.shape, seg_dtype),
+        # ``.T`` views, exactly as ``x @ w.T`` would pass them (same memory
+        # layout, so the same BLAS call and summation order).
+        "pro_sq": (prototypes**2).sum(axis=1)[None, :],
+        "prototypes_t": prototypes.T,
+        "pro_centered_t": pro_centered.T,
+        "pro_norm_t": np.linalg.norm(pro_centered, axis=1, keepdims=True).T,
+        # Segment-shaped buffers keep the segments' memory order, as the
+        # temporaries of ``segments**2`` would (reduction order follows it).
+        "sq": np.empty_like(segments),
+        "red": np.empty((n, 1), seg_dtype),
+        "centered": np.empty_like(segments),
+        "dist": np.empty((n, k), dtype),
+        "cross": np.empty((n, k), dtype),
+        "numer": np.empty((n, k), dtype),
+        "denom": np.empty((n, k), dtype),
+        "mask": np.empty((n, k), bool),
+    }
+    if workspace is not None:
+        workspace["distance"] = state
+    return state
+
+
+def _operands(segments: np.ndarray, prototypes: np.ndarray):
+    """Float operands; a strided ``segments`` view gets a copy in its own
+    axis order (the layout the temporary of ``2.0 * segments`` has)."""
+    segments, prototypes = np.asarray(segments), np.asarray(prototypes)
+    if segments.dtype.kind != "f":
+        segments = segments.astype(np.float64)
+    elif not (segments.flags.c_contiguous or segments.flags.f_contiguous):
+        segments = segments.copy(order="K")
+    if prototypes.dtype.kind != "f":
+        prototypes = prototypes.astype(np.float64)
+    return segments, prototypes
+
+
+def _pearson_into(segments: np.ndarray, state: dict) -> np.ndarray:
+    """Pearson correlation of segments vs prototypes into ``state["numer"]``."""
+    # segments.mean(axis=1, keepdims=True), then center.
+    mean = np.add.reduce(segments, axis=1, keepdims=True, out=state["red"])
+    np.true_divide(mean, segments.shape[1], out=mean)
+    centered = np.subtract(segments, mean, out=state["centered"])
+    # np.linalg.norm(centered, axis=1, keepdims=True)
+    sq = np.multiply(centered, centered, out=state["sq"])
+    seg_norm = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
+    np.sqrt(seg_norm, out=seg_norm)
+    corr = np.matmul(centered, state["pro_centered_t"], out=state["numer"])
+    denom = np.matmul(seg_norm, state["pro_norm_t"], out=state["denom"])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        keep = np.greater(denom, 1e-12, out=state["mask"])
+        np.maximum(denom, 1e-12, out=denom)
+        np.true_divide(corr, denom, out=corr)
+    # Zero-variance (and NaN) rows: correlation 0.
+    np.copyto(corr, 0.0, where=np.logical_not(keep, out=keep))
+    return np.clip(corr, -1.0, 1.0, out=corr)
+
+
 def pearson_rows(segments: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlation of ``(n, p)`` rows vs ``(k, p)`` rows.
 
     Zero-variance rows get correlation 0 against everything (a flat
     segment is shape-neutral).
     """
-    seg = segments - segments.mean(axis=1, keepdims=True)
-    pro = prototypes - prototypes.mean(axis=1, keepdims=True)
-    seg_norm = np.linalg.norm(seg, axis=1, keepdims=True)
-    pro_norm = np.linalg.norm(pro, axis=1, keepdims=True)
-    denom = seg_norm @ pro_norm.T
-    numer = seg @ pro.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 1e-12, numer / np.maximum(denom, 1e-12), 0.0)
-    return np.clip(corr, -1.0, 1.0)
+    segments, prototypes = _operands(segments, prototypes)
+    return _pearson_into(segments, _distance_state(None, segments, prototypes))
 
 
 def composite_distance(
-    segments: np.ndarray, prototypes: np.ndarray, alpha: float
+    segments: np.ndarray,
+    prototypes: np.ndarray,
+    alpha: float,
+    workspace: dict | None = None,
 ) -> np.ndarray:
-    """Eq. (13): squared Euclidean plus ``alpha * (1 - Pearson)``, ``(n, k)``."""
-    seg_sq = (segments**2).sum(axis=1, keepdims=True)
-    pro_sq = (prototypes**2).sum(axis=1)
-    euclidean_sq = seg_sq + pro_sq[None, :] - 2.0 * segments @ prototypes.T
-    euclidean_sq = np.maximum(euclidean_sq, 0.0)
+    """Eq. (13): squared Euclidean plus ``alpha * (1 - Pearson)``, ``(n, k)``.
+
+    The one implementation of the composite distance, written with
+    ``out=`` buffers.  Without ``workspace`` every call gets fresh ones.
+    A caller that computes distances repeatedly (a compiled plan) passes
+    the same dict each time: buffers and prototype statistics are then
+    reused while the segment shape, the dtypes and the prototype array
+    object stay the same, and the returned array is a workspace buffer,
+    valid until the next call.  The prototype values must not change
+    while a workspace is reused.
+    """
+    segments, prototypes = _operands(segments, prototypes)
+    state = _distance_state(workspace, segments, prototypes)
+    # ||s||^2 + ||c||^2 - 2 s.c, clamped at zero.
+    sq = np.multiply(segments, segments, out=state["sq"])
+    seg_sq = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
+    dist = np.add(seg_sq, state["pro_sq"], out=state["dist"])
+    cross = np.matmul(segments, state["prototypes_t"], out=state["cross"])
+    np.multiply(cross, 2.0, out=cross)
+    np.subtract(dist, cross, out=dist)
+    np.maximum(dist, 0.0, out=dist)
     if alpha == 0.0:
-        return euclidean_sq
-    return euclidean_sq + alpha * (1.0 - pearson_rows(segments, prototypes))
+        return dist
+    corr = _pearson_into(segments, state)
+    np.subtract(1.0, corr, out=corr)
+    np.multiply(alpha, corr, out=corr)
+    return np.add(dist, corr, out=dist)
 
 
 def _pearson_tensor(segments: np.ndarray, prototype: Tensor) -> Tensor:

@@ -148,22 +148,12 @@ class DualBranchExtractor(Module):
         )
 
     @staticmethod
-    def _routing(mixer, tokens: Tensor):
-        """Layer-1 assignment reused by the deep blocks.
-
-        Plain ndarray normally; under graph capture it becomes a custom
-        node so plan replays recompute the routing from the replayed
-        tokens instead of freezing one input's assignment.
-        """
-        routing = mixer.assignment_weights(tokens.data)
-        capture = ag.active_capture()
-        if capture is None:
-            return routing
-
-        def replay(srcs, out, scratch, extras, mixer=mixer):
-            return mixer.assignment_weights(srcs[0])
-
-        return capture.custom("deep_routing", routing, (tokens,), replay)
+    def _routing(mixer, tokens: Tensor) -> Tensor:
+        """Layer-1 assignment reused by the deep blocks; replayable, so a
+        plan recomputes it from the replayed tokens."""
+        return ag.replayable(
+            "deep_routing", lambda arrays, _: mixer.assignment_weights(arrays[0]), (tokens,)
+        )
 
     def forward(self, segments: Tensor) -> tuple[Tensor, Tensor]:
         if segments.ndim != 4 or segments.shape[-1] != self.segment_length:

@@ -30,6 +30,7 @@ from repro.core.clustering import ClusteringConfig, SegmentClusterer
 from repro.core.extractor import DualBranchExtractor
 from repro.core.fusion import GatedLinearFusion, ParallelFusion
 from repro.nn import Module, RevIN
+from repro.robustness.health import check_engine
 
 
 @dataclasses.dataclass
@@ -381,19 +382,15 @@ class FOCUSForecaster(Module):
                 f"expected (B, {cfg.lookback}, {cfg.num_entities}) windows, "
                 f"got {windows.shape}"
             )
-        if engine == "plan":
+        if check_engine(engine) == "plan":
             if windows.dtype.kind != "f":
                 # Mirror Tensor.__init__'s coercion of non-float inputs so
                 # the plan's input signature matches what eager would run.
                 windows = windows.astype(get_default_dtype())
             prediction = self._plan_for(windows).replay(windows)
-        elif engine == "eager":
+        else:
             with ag.no_grad():
                 prediction = self(Tensor(windows)).data
-        else:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'eager' or 'plan'"
-            )
         # .astype always copies — serving hands forecasts to callers that
         # may mutate them, and the engine may reuse forward buffers (the
         # plan replay returns a per-thread arena buffer).

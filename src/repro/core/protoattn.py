@@ -134,15 +134,6 @@ class ProtoAttn(Module):
                 f"expected (B, l, p={self.segment_length}) segments, got {segments.shape}"
             )
         batch, n_segments, _ = segments.shape
-
-        capture = ag.active_capture()
-        if capture is not None:
-            return self._forward_captured(segments, capture)
-
-        # Assignment matrix A (non-differentiable; Algorithm 2 l.1-4).
-        # Hard mode (the paper) routes one-hot; soft mode is an extension.
-        assignment = self.assignment_weights(segments.data)  # (B, l, k)
-        self.last_assignment_ = assignment.argmax(axis=-1)
         counter = active_counter()
         if counter is not None:
             # Nearest-prototype search (Sec. VI-B complexity analysis): the
@@ -157,194 +148,64 @@ class ProtoAttn(Module):
                 cost += 2 * unit
             counter.add_flops(cost, label="proto_assignment")
 
-        # Eq. (14): projections.  Prototypes are fixed during inference, so
-        # C_Q is served from the cache when gradients are off; profiled
-        # runs recompute so FLOP accounting stays deterministic.
-        if ag.is_grad_enabled() or counter is not None:
+        # Eq. (14): projections.  C_Q is a pure function of parameters:
+        # under graph capture the plan compiler constant-folds it; in
+        # eager inference it is served from the cache; training and
+        # profiled runs recompute it (gradients, deterministic FLOPs).
+        capture = ag.active_capture()
+        if capture is not None:
+            proto_queries = self.w_e(capture.constant(self.prototypes))  # (k, d)
+        elif ag.is_grad_enabled() or counter is not None:
             proto_queries = self.w_e(Tensor(self.prototypes))  # (k, d)
         else:
             proto_queries = self._proto_queries()  # (k, d), cached
         keys = self.w_k(segments)  # (B, l, d)
         values = self.w_v(segments)  # (B, l, d)
 
-        # Eq. (16)+(18): prototype-to-segment attention, then route via A.
+        # Eq. (16)+(18): prototype-to-segment attention, then route.
         scores = ag.matmul(proto_queries, ag.swapaxes(keys, -1, -2))  # (B, k, l)
         scores = scores * float(1.0 / np.sqrt(self.d_model))
         attention = ag.softmax(scores, axis=-1)
         self.last_attention_ = attention.data
         proto_context = ag.matmul(attention, values)  # (B, k, d)
+        # The routing (Algorithm 2 l.1-4) depends on the input's values,
+        # so it is a replayable node: a compiled plan recomputes it.
         if (
             not ag.is_grad_enabled()
             and counter is None
             and self.assignment_mode == "hard"
             and "assignment_weights" not in self.__dict__
         ):
-            # Inference fast path (serving/batched forecasts): hard
-            # routing is a row gather, O(B·l·d) instead of the one-hot
-            # matmul's O(B·l·k·d).  Bit-identical for finite contexts —
-            # each output row is exactly its prototype's context row, as
-            # summing k-1 exact zeros changes nothing.  Training keeps
-            # the matmul (the graph must flow into proto_context),
-            # profiled runs keep it so FLOP accounting stays put, and an
-            # instance-level assignment_weights override (the knockout
-            # attribution monkeypatches it) keeps it so the patched
-            # matrix actually routes.
-            gathered = np.take_along_axis(
-                proto_context.data, self.last_assignment_[:, :, None], axis=1
+            # Hard inference routing is a row gather (Eq. 19), O(B·l·d)
+            # instead of the one-hot matmul's O(B·l·k·d).  For finite
+            # contexts the values are the same: each output row is exactly
+            # its prototype's context row (the matmul adds k-1 exact zeros).
+            return ag.replayable(
+                "protoattn_gather", self._gather, (segments, proto_context)
             )
-            return Tensor(gathered)
-        return ag.matmul(Tensor(assignment), proto_context)  # (B, l, d)
+        # One-hot (or soft) matmul.  Training needs it so the graph flows
+        # into proto_context; profiled runs so FLOP accounting stays put;
+        # an instance-level assignment_weights override (the knockout
+        # attribution patches it) so the patched matrix actually routes.
+        assignment = ag.replayable("protoattn_assign", self._assignment, (segments,))
+        return ag.matmul(assignment, proto_context)  # (B, l, d)
 
-    # ------------------------------------------------------------------
-    # Plan-engine capture (repro.engine)
-    # ------------------------------------------------------------------
-    def _forward_captured(self, segments: Tensor, capture) -> Tensor:
-        """Forward under graph capture, with replayable data dependence.
-
-        The assignment matrix and the hard-routing gather are computed
-        from the *traced input's* values, so they must not be baked into
-        the plan: both are recorded as custom nodes whose replay
-        closures recompute the nearest-prototype search from the live
-        ``prototypes`` buffer and the replayed segments.  The prototype
-        query projection bypasses the value-compare ``_query_cache`` —
-        it is a pure function of parameters, so the compiler constant
-        folds it (eliminating the per-call cache validation scans).
-        """
-        assignment = self.assignment_weights(segments.data)  # (B, l, k)
-        self.last_assignment_ = assignment.argmax(axis=-1)
-        proto_queries = self.w_e(capture.constant(self.prototypes))  # (k, d)
-        keys = self.w_k(segments)  # (B, l, d)
-        values = self.w_v(segments)  # (B, l, d)
-        scores = ag.matmul(proto_queries, ag.swapaxes(keys, -1, -2))  # (B, k, l)
-        scores = scores * float(1.0 / np.sqrt(self.d_model))
-        attention = ag.softmax(scores, axis=-1)
-        self.last_attention_ = attention.data
-        proto_context = ag.matmul(attention, values)  # (B, k, d)
-        if (
-            not ag.is_grad_enabled()
-            and self.assignment_mode == "hard"
-            and "assignment_weights" not in self.__dict__
-        ):
-            # Same gather fast path as the eager inference branch.
-            gathered = np.take_along_axis(
-                proto_context.data, self.last_assignment_[:, :, None], axis=1
-            )
-            return capture.custom(
-                "protoattn_gather",
-                gathered,
-                (segments, proto_context),
-                self._replay_gather,
-            )
-        routed = capture.custom(
-            "protoattn_assign", assignment, (segments,), self._replay_assignment
-        )
-        return ag.matmul(routed, proto_context)  # (B, l, d)
-
-    def _replay_gather(self, srcs, out, scratch, extras):
-        """Replay the hard-assignment gather from live prototypes.
-
-        Labels come straight from the distance argmin — identical to
-        eager's argmax over the one-hot assignment matrix (the one-hot
-        is set exactly at the argmin index, NaN rows included), without
-        materializing the matrix eager never uses on this path.  The
-        distances themselves come from :meth:`_replay_distances`, a
-        scratch-buffered replica of :func:`composite_distance`.
-        """
-        segments, proto_context = srcs
+    def _gather(self, arrays: list, scratch: dict) -> np.ndarray:
+        """Nearest prototype per segment, then its ``proto_context`` row."""
+        segments, proto_context = arrays
         flat = segments.reshape(-1, self.segment_length)
-        distances = self._replay_distances(flat, scratch)
+        distances = composite_distance(flat, self.prototypes, self.alpha, scratch)
         labels = distances.argmin(axis=1).reshape(segments.shape[:-1])
         self.last_assignment_ = labels
-        # Row gather: same values as eager's take_along_axis with the
-        # labels broadcast along the feature axis, via the cheaper
-        # integer-index path (a pure copy either way).
         rows = scratch.get("rows")
         if rows is None or rows.shape[0] != labels.shape[0]:
             rows = scratch["rows"] = np.arange(labels.shape[0])[:, None]
         return proto_context[rows, labels]
 
-    def _replay_distances(self, flat: np.ndarray, scratch: dict) -> np.ndarray:
-        """``composite_distance(flat, self.prototypes, self.alpha)``
-        through preallocated scratch buffers.
-
-        Every ufunc matches :func:`composite_distance` /
-        :func:`pearson_rows` step for step — same operations, same
-        operand order — so the distances (and therefore the argmin
-        labels) are bitwise identical to the eager path; the scratch
-        only removes temporary allocations and numpy dispatch overhead.
-        Prototype-derived statistics are cached alongside the buffers:
-        sanctioned prototype mutations invalidate the owning plan (and
-        with it every arena and scratch dict), so the cache cannot go
-        stale.  The compile-time self-check in
-        :func:`repro.engine.compile_plan` verifies the equivalence on
-        every trace.
-        """
-        prototypes = self.prototypes
-        alpha = self.alpha
-        n = flat.shape[0]
-        state = scratch.get("assign")
-        if state is None or state["n"] != n or state["dtype"] != flat.dtype:
-            k, p = prototypes.shape
-            dt = flat.dtype
-            pro_centered = prototypes - prototypes.mean(axis=1, keepdims=True)
-            state = {
-                "n": n,
-                "dtype": dt,
-                # (pro**2).sum(axis=1)[None, :] and the transposed views
-                # used by the eager matmuls (``x @ w.T`` keeps w.T as an
-                # F-order view, so the cached views match its layout).
-                "pro_sq": (prototypes**2).sum(axis=1)[None, :],
-                "prototypes_t": prototypes.T,
-                "pro_centered_t": pro_centered.T,
-                "pro_norm_t": np.linalg.norm(pro_centered, axis=1, keepdims=True).T,
-                "sq": np.empty((n, p), dt),
-                "red": np.empty((n, 1), dt),
-                "centered": np.empty((n, p), dt),
-                "cross": np.empty((n, k), dt),
-                "dist": np.empty((n, k), dt),
-                "numer": np.empty((n, k), dt),
-                "denom": np.empty((n, k), dt),
-                "mask": np.empty((n, k), bool),
-            }
-            scratch["assign"] = state
-
-        # Squared-Euclidean term: seg_sq + pro_sq[None, :] - 2.0 * x @ P.T,
-        # clamped at zero (composite_distance, first half).
-        sq = np.multiply(flat, flat, out=state["sq"])  # flat**2
-        seg_sq = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
-        cross = np.matmul(flat, state["prototypes_t"], out=state["cross"])
-        dist = np.add(seg_sq, state["pro_sq"], out=state["dist"])
-        np.multiply(cross, 2.0, out=cross)
-        np.subtract(dist, cross, out=dist)
-        np.maximum(dist, 0.0, out=dist)
-        if alpha == 0.0:
-            return dist
-
-        # Pearson term (pearson_rows): center rows, normalize, correlate.
-        mean = np.add.reduce(flat, axis=1, keepdims=True, out=state["red"])
-        np.true_divide(mean, flat.shape[1], out=mean)  # flat.mean(axis=1, ...)
-        centered = np.subtract(flat, mean, out=state["centered"])
-        sq = np.multiply(centered, centered, out=state["sq"])
-        seg_norm = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
-        np.sqrt(seg_norm, out=seg_norm)  # np.linalg.norm(seg, axis=1, ...)
-        numer = np.matmul(centered, state["pro_centered_t"], out=state["numer"])
-        denom = np.matmul(seg_norm, state["pro_norm_t"], out=state["denom"])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mask = np.greater(denom, 1e-12, out=state["mask"])
-            np.maximum(denom, 1e-12, out=denom)
-            np.true_divide(numer, denom, out=numer)
-        # np.where(denom > 1e-12, ..., 0.0): zero the rejected entries.
-        np.logical_not(mask, out=mask)
-        np.copyto(numer, 0.0, where=mask)
-        np.clip(numer, -1.0, 1.0, out=numer)
-        # euclidean_sq + alpha * (1.0 - corr)
-        np.subtract(1.0, numer, out=numer)
-        np.multiply(alpha, numer, out=numer)
-        return np.add(dist, numer, out=dist)
-
-    def _replay_assignment(self, srcs, out, scratch, extras):
-        """Replay the (soft or overridden) assignment matrix."""
-        weights = self.assignment_weights(srcs[0])
+    def _assignment(self, arrays: list, scratch: dict) -> np.ndarray:
+        """Assignment matrix ``A`` through (a possibly patched)
+        :meth:`assignment_weights`."""
+        weights = self.assignment_weights(arrays[0])
         self.last_assignment_ = weights.argmax(axis=-1)
         return weights
 

@@ -491,11 +491,11 @@ def compile_plan(
                     f"op {node.op_name!r} consumes a leaf Tensor of shape "
                     f"{parent.shape} created during capture; its value may "
                     f"depend on the traced input and cannot be baked into a "
-                    f"plan (route it through GraphCapture.custom or bless it)"
+                    f"plan (compute it with repro.autograd.replayable or bless it)"
                 )
 
-    # Dynamic = transitively reachable from an input (custom nodes are
-    # always dynamic: their replay closures read live model state).
+    # Dynamic = transitively reachable from an input (replayable nodes
+    # are always dynamic: their replay functions read live model state).
     dynamic: set[int] = {tid for tid in capture.input_ids if tid in needed}
     if not dynamic:
         raise PlanError("traced output does not depend on any traced input")

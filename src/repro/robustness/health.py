@@ -25,6 +25,22 @@ from collections import deque
 import numpy as np
 
 NAN_POLICIES = ("reject", "impute_last", "impute_prototype")
+#: Forward engines of ``FOCUSForecaster.forecast_batch`` and the serving stack.
+ENGINES = ("eager", "plan")
+
+
+def check_nan_policy(policy: str) -> str:
+    """Return ``policy`` if it is one of :data:`NAN_POLICIES`, else raise."""
+    if policy not in NAN_POLICIES:
+        raise ValueError(f"unknown nan_policy {policy!r}; choose from {NAN_POLICIES}")
+    return policy
+
+
+def check_engine(engine: str) -> str:
+    """Return ``engine`` if it is one of :data:`ENGINES`, else raise."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    return engine
 
 
 class HealthState(str, enum.Enum):
@@ -165,8 +181,7 @@ def apply_nan_policy(
 
     The fast path (fully finite block) returns the input unchanged.
     """
-    if policy not in NAN_POLICIES:
-        raise ValueError(f"unknown NaN policy {policy!r}; choose from {NAN_POLICIES}")
+    check_nan_policy(policy)
     finite = np.isfinite(block)
     if finite.all():
         return block, 0, 0

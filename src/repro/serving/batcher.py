@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.model import FOCUSForecaster
 from repro.robustness.fallback import resolve_fallback
+from repro.robustness.health import check_engine
 from repro.serving.cache import ForecastCache
 from repro.serving.session import EntitySession
 from repro.telemetry.context import record_stage
@@ -85,10 +86,8 @@ class MicroBatcher:
         engine: str = "eager",
     ):
         self._fallback = resolve_fallback(fallback, seasonal_period)
-        if engine not in ("eager", "plan"):
-            raise ValueError(f"unknown engine {engine!r}; choose 'eager' or 'plan'")
         self.model = model
-        self.engine = engine
+        self.engine = check_engine(engine)
         self.model.eval()
         self.cache = cache
         self.fallback = fallback

@@ -61,9 +61,14 @@ import numpy as np
 
 from repro.core.model import FOCUSForecaster
 from repro.robustness.fallback import resolve_fallback
-from repro.robustness.health import NAN_POLICIES, HealthMonitor, health_reporter
+from repro.robustness.health import (
+    HealthMonitor,
+    check_engine,
+    check_nan_policy,
+    health_reporter,
+)
 from repro.serving.batcher import ForecastResponse
-from repro.serving.server import ForecastServer, ServingConfig
+from repro.serving.server import ForecastServer, ServingConfig, _replay_steps
 from repro.telemetry.aggregate import FleetAggregator, registry_snapshot
 from repro.telemetry.context import (
     RequestTrace,
@@ -142,16 +147,10 @@ class FleetConfig:
             raise ValueError("vnodes must be at least 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        if self.nan_policy not in NAN_POLICIES:
-            raise ValueError(
-                f"unknown nan_policy {self.nan_policy!r}; choose from {NAN_POLICIES}"
-            )
+        check_nan_policy(self.nan_policy)
         if self.metrics_every_s < 0:
             raise ValueError("metrics_every_s must be non-negative")
-        if self.engine not in ("eager", "plan"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'eager' or 'plan'"
-            )
+        check_engine(self.engine)
         # Reject here, not in a spawned worker that would die on it.
         resolve_fallback(self.fallback, self.seasonal_period)
 
@@ -334,32 +333,22 @@ def _local_replay(server: ForecastServer, streams: dict[str, np.ndarray],
                   warmup: int | None) -> tuple[list, list]:
     """One shard's half of the scatter-gather replay.
 
-    Mirrors :func:`~repro.serving.replay_streams` exactly — interleaved
-    ingestion in time order, micro-batched forecasts for the due
-    entities of each step — but tags every response with
+    Runs the schedule of :func:`~repro.serving.replay_streams` —
+    interleaved ingestion in time order, micro-batched forecasts for the
+    due entities of each step — but tags every response with
     ``(step, global stream index)`` so the router can merge shard
     results back into global issue order, and records the wall clock of
     each executed batch for the latency percentiles in ``repro bench``.
     """
-    if not streams:
-        return [], []
-    lookback = server.model.config.lookback
-    warmup = lookback if warmup is None else warmup
-    length = min(len(stream) for stream in streams.values())
     tagged: list[tuple[int, int, ForecastResponse]] = []
     latencies: list[float] = []
-    for step in range(length):
-        due: list[str] = []
-        for entity_id, stream in streams.items():
-            server.observe(entity_id, stream[step])
-            if (
-                step + 1 >= warmup
-                and (step + 1) % forecast_every == 0
-                and server.store.session(entity_id).ready
-            ):
-                due.append(entity_id)
-        if not due:
-            continue
+    for step, due in _replay_steps(
+        streams,
+        server.observe,
+        forecast_every,
+        server.model.config.lookback if warmup is None else warmup,
+        ready=lambda entity_id: server.store.session(entity_id).ready,
+    ):
         started = time.perf_counter()
         responses = server.forecast_many(due)
         elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -1248,21 +1237,13 @@ def replay_routed(
     only sees traffic that crosses the router.  Returns responses in
     issue order.
     """
-    if forecast_every < 1:
-        raise ValueError("forecast_every must be at least 1")
     router._require_started()
-    if not streams:
-        return []
-    lookback = router.model.config.lookback
-    warmup = lookback if warmup is None else warmup
-    length = min(len(stream) for stream in streams.values())
     responses: list[ForecastResponse] = []
-    for step in range(length):
-        due: list[str] = []
-        for entity_id, stream in streams.items():
-            router.observe(entity_id, stream[step])
-            if step + 1 >= warmup and (step + 1) % forecast_every == 0:
-                due.append(entity_id)
-        if due:
-            responses.extend(router.forecast_many(due))
+    for _step, due in _replay_steps(
+        streams,
+        router.observe,
+        forecast_every,
+        router.model.config.lookback if warmup is None else warmup,
+    ):
+        responses.extend(router.forecast_many(due))
     return responses

@@ -40,7 +40,12 @@ import numpy as np
 
 from repro.core.model import FOCUSForecaster
 from repro.robustness.fallback import resolve_fallback
-from repro.robustness.health import NAN_POLICIES, HealthMonitor, health_reporter
+from repro.robustness.health import (
+    HealthMonitor,
+    check_engine,
+    check_nan_policy,
+    health_reporter,
+)
 from repro.serving.batcher import ForecastResponse, MicroBatcher
 from repro.serving.cache import ForecastCache
 from repro.serving.session import EntitySessionStore
@@ -90,14 +95,8 @@ class ServingConfig:
             raise ValueError("queue_capacity must be at least 1")
         if self.max_delay_ms < 0:
             raise ValueError("max_delay_ms must be non-negative")
-        if self.nan_policy not in NAN_POLICIES:
-            raise ValueError(
-                f"unknown nan_policy {self.nan_policy!r}; choose from {NAN_POLICIES}"
-            )
-        if self.engine not in ("eager", "plan"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'eager' or 'plan'"
-            )
+        check_nan_policy(self.nan_policy)
+        check_engine(self.engine)
         resolve_fallback(self.fallback, self.seasonal_period)
 
 
@@ -573,6 +572,35 @@ class ForecastServer:
         return totals
 
 
+def _replay_steps(
+    streams: dict[str, np.ndarray],
+    observe,
+    forecast_every: int,
+    warmup: int,
+    ready=None,
+):
+    """The replay schedule shared by every stream replay; yields
+    ``(step, due_entity_ids)``.
+
+    Each step feeds every entity's row to ``observe(entity_id, row)``,
+    interleaved in time order over the common length of the streams.
+    An entity is due once ``warmup`` rows are in, every
+    ``forecast_every`` steps, and only if ``ready(entity_id)`` holds
+    (when given).  Steps with nobody due are not yielded.
+    """
+    if forecast_every < 1:
+        raise ValueError("forecast_every must be at least 1")
+    length = min((len(stream) for stream in streams.values()), default=0)
+    for step in range(length):
+        for entity_id, stream in streams.items():
+            observe(entity_id, stream[step])
+        if step + 1 < warmup or (step + 1) % forecast_every:
+            continue
+        due = [e for e in streams if ready is None or ready(e)]
+        if due:
+            yield step, due
+
+
 def replay_streams(
     server: ForecastServer,
     streams: dict[str, np.ndarray],
@@ -596,26 +624,14 @@ def replay_streams(
     within ``timeout`` seconds (a stalled or wedged worker must surface
     as an error, never as a silent ``None`` response).
     """
-    if forecast_every < 1:
-        raise ValueError("forecast_every must be at least 1")
-    if not streams:
-        return []
-    lookback = server.model.config.lookback
-    warmup = lookback if warmup is None else warmup
-    length = min(len(stream) for stream in streams.values())
     responses: list[ForecastResponse] = []
-    for step in range(length):
-        due: list[str] = []
-        for entity_id, stream in streams.items():
-            server.observe(entity_id, stream[step])
-            if (
-                step + 1 >= warmup
-                and (step + 1) % forecast_every == 0
-                and server.store.session(entity_id).ready
-            ):
-                due.append(entity_id)
-        if not due:
-            continue
+    for _step, due in _replay_steps(
+        streams,
+        server.observe,
+        forecast_every,
+        server.model.config.lookback if warmup is None else warmup,
+        ready=lambda entity_id: server.store.session(entity_id).ready,
+    ):
         if server.running:
             requests = [server.submit(entity_id) for entity_id in due]
             for entity_id, request in zip(due, requests):

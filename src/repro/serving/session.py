@@ -31,7 +31,7 @@ import threading
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
-from repro.robustness.health import NAN_POLICIES, apply_nan_policy
+from repro.robustness.health import apply_nan_policy, check_nan_policy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,10 +79,7 @@ class ObservationRing:
     ):
         if lookback < 1 or num_entities < 1:
             raise ValueError("lookback and num_entities must be positive")
-        if nan_policy not in NAN_POLICIES:
-            raise ValueError(
-                f"unknown nan_policy {nan_policy!r}; choose from {NAN_POLICIES}"
-            )
+        check_nan_policy(nan_policy)
         self.lookback = lookback
         self.num_entities = num_entities
         self.nan_policy = nan_policy
@@ -284,10 +281,7 @@ class EntitySessionStore:
         fill_value=None,
         record_events: bool = False,
     ):
-        if nan_policy not in NAN_POLICIES:
-            raise ValueError(
-                f"unknown nan_policy {nan_policy!r}; choose from {NAN_POLICIES}"
-            )
+        check_nan_policy(nan_policy)
         self.lookback = lookback
         self.num_entities = num_entities
         self.dtype = dtype

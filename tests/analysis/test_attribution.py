@@ -50,6 +50,11 @@ class TestPrototypeImportance:
         with ag.no_grad():
             after = model(Tensor(windows)).data
         assert np.array_equal(before, after)
+        # No instance-level override is left behind (it would keep
+        # ProtoAttn off its hard-routing gather).
+        extractor = model.extractor
+        for mixer in (extractor.temporal_mixer, extractor.entity_mixer):
+            assert "assignment_weights" not in vars(mixer)
 
     def test_ranking_order(self, model, rng):
         windows = rng.standard_normal((2, 24, 3))

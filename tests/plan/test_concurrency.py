@@ -12,6 +12,8 @@ CI runs this file twice under ``PYTHONHASHSEED=0`` (see the ``plan``
 job) to shake out ordering flakes.
 """
 
+import importlib
+import sys
 import threading
 
 import numpy as np
@@ -113,3 +115,45 @@ def test_threaded_plan_server_matches_eager_server():
         got = plan_responses[entity_id]
         assert got.source == eager.source == "model"
         assert np.array_equal(got.forecast, eager.forecast)
+
+
+def test_capture_counter_survives_concurrent_compiles():
+    """Two models compile plans on two threads at once: the global
+    capture counter must end at 0 (no lost update) and every plan must
+    still replay bit-equal to eager."""
+    # The ``repro.autograd.tensor`` attribute is the creation helper;
+    # the counter lives in the module of the same name.
+    tensor_module = importlib.import_module("repro.autograd.tensor")
+    models = [build_plan_model(seed=seed) for seed in (0, 1)]
+    windows = [make_windows(model, 2, seed=40 + i) for i, model in enumerate(models)]
+    oracle = [m.forecast_batch(w, engine="eager") for m, w in zip(models, windows)]
+    failures = []
+    barrier = threading.Barrier(len(models), timeout=60)
+
+    def compile_repeatedly(index):
+        model, batch = models[index], windows[index]
+        barrier.wait()
+        for _ in range(15):
+            model._invalidate_plans()
+            got = model.forecast_batch(batch, engine="plan")
+            if not np.array_equal(got, oracle[index]):
+                failures.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=compile_repeatedly, args=(i,))
+            for i in range(len(models))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert tensor_module._CAPTURE_COUNT == 0
+    assert not failures
+    for model, batch, expected in zip(models, windows, oracle):
+        assert np.array_equal(model.forecast_batch(batch, engine="plan"), expected)

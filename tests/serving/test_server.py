@@ -270,6 +270,8 @@ def test_replay_streams_raises_on_stalled_worker(model, rng):
         with server:
             with pytest.raises(TimeoutError, match="'x'"):
                 replay_streams(server, streams, forecast_every=LOOKBACK, timeout=0.2)
+            # Unwedge before leaving the block, which joins the worker.
+            release.set()
     finally:
         release.set()
         server.batcher.forecast_sessions = original
