@@ -341,6 +341,12 @@ def _cmd_bench(args) -> int:
         f"{plan['plan_folded']} folded, arena {plan['arena_kb']:.1f}KB, "
         f"build {plan['build_ms']:.1f}ms"
     )
+    mixed = plan["mixed"]
+    print(
+        f"  plan mixed B   : {mixed['calls']} calls B~U[1,32] p50 "
+        f"{mixed['p50_ms']:.3f}ms p99 {mixed['p99_ms']:.3f}ms, "
+        f"{mixed['compiles']} compiles"
+    )
     failed = False
     if not clustering["equivalent_1e8"]:
         print("WARNING: vectorized and loop prototypes diverge beyond 1e-8")

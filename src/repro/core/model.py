@@ -107,10 +107,11 @@ class FOCUSForecaster(Module):
         # update_prototype).  The serving ForecastCache keys entries on
         # this so EMA adaptation invalidates stale cached forecasts.
         self._prototype_version = 0
-        # Compiled execution plans (repro.engine), keyed by
-        # (input shape, input dtype, prototype version).  Guarded by a
-        # lock: serving threads share the cache, and a build must not
-        # race a mutation-triggered invalidation.
+        # Compiled execution plans (repro.engine), keyed by (bucketed
+        # input shape, input dtype, prototype version, assignment_weights
+        # overrides).  Guarded by a lock: serving threads share the
+        # cache, and a build must not race a mutation-triggered
+        # invalidation.
         self._plans: "collections.OrderedDict" = collections.OrderedDict()
         self._plan_lock = threading.Lock()
         # (key, plan) of the most recent hit, read without the lock.
@@ -179,7 +180,7 @@ class FOCUSForecaster(Module):
 
     def set_prototypes(self, prototypes: np.ndarray) -> None:
         prototypes = np.asarray(prototypes, dtype=get_default_dtype())
-        for mixer in (self.extractor.temporal_mixer, self.extractor.entity_mixer):
+        for mixer in self._mixers():
             if hasattr(mixer, "prototypes"):
                 mixer.prototypes[...] = prototypes
                 if hasattr(mixer, "invalidate_cache"):
@@ -251,7 +252,7 @@ class FOCUSForecaster(Module):
         # mixer's live dictionary, and writing the first mixer's row
         # must not change what the second mixer receives.
         value = np.array(value, copy=True)
-        for mixer in (self.extractor.temporal_mixer, self.extractor.entity_mixer):
+        for mixer in self._mixers():
             # Row assignment below casts to each mixer's prototype dtype.
             if hasattr(mixer, "prototypes"):
                 mixer.prototypes[index] = value
@@ -368,10 +369,14 @@ class FOCUSForecaster(Module):
         autograd forward and stays the reference implementation;
         ``"plan"`` replays a compiled :class:`repro.engine.ExecutionPlan`
         — bit-identical to eager in float64 (``tests/plan`` pins it) but
-        free of per-op Python dispatch.  Plans are traced on first use
-        per (batch shape, dtype, prototype version) and invalidated by
-        ``set_prototypes`` / ``update_prototype`` / ``to_dtype``; per
-        -thread arenas make concurrent replay safe.
+        free of per-op Python dispatch.  The plan engine rounds ``B`` up
+        to the next power of two, pads with copies of the last window and
+        returns the first ``B`` rows — exact, because rows never interact
+        — so one plan serves every batch size in its bucket (six cover
+        ``B <= 32``).  Plans are traced on first use per (bucketed shape,
+        dtype, prototype version, ``assignment_weights`` overrides) and
+        invalidated by ``set_prototypes`` / ``update_prototype`` /
+        ``to_dtype``; per-thread arenas make concurrent replay safe.
 
         Returns a fresh float64 array that aliases no internal buffer.
         """
@@ -387,7 +392,7 @@ class FOCUSForecaster(Module):
                 # Mirror Tensor.__init__'s coercion of non-float inputs so
                 # the plan's input signature matches what eager would run.
                 windows = windows.astype(get_default_dtype())
-            prediction = self._plan_for(windows).replay(windows)
+            prediction = self._replay_bucketed(windows)
         else:
             with ag.no_grad():
                 prediction = self(Tensor(windows)).data
@@ -399,13 +404,45 @@ class FOCUSForecaster(Module):
     # ------------------------------------------------------------------
     # Plan engine (repro.engine)
     # ------------------------------------------------------------------
-    #: Plans kept per model; distinct batch shapes and dtypes each need
-    #: their own trace, so serving with ragged batch sizes holds a few.
+    #: Plans kept per model.  Batch sizes share power-of-two buckets, so
+    #: 8 entries hold every bucket of ``B <= 128`` for one dtype.
     PLAN_CACHE_CAPACITY = 8
+
+    def _replay_bucketed(self, windows: np.ndarray) -> np.ndarray:
+        """Replay the plan of ``windows``' power-of-two batch bucket.
+
+        Pad rows copy the last window and are sliced off again: every
+        per-sample computation is independent across the batch axis, so
+        they cannot change a real row.
+        """
+        batch = windows.shape[0]
+        bucket = 1 << (batch - 1).bit_length() if batch > 1 else batch
+        if bucket != batch:
+            padded = np.empty((bucket,) + windows.shape[1:], dtype=windows.dtype)
+            padded[:batch] = windows
+            padded[batch:] = windows[-1]
+            windows = padded
+        prediction = self._plan_for(windows).replay(windows)
+        if bucket != batch:
+            # Both mixers flatten with the batch axis outermost, so the
+            # pad rows' labels are a contiguous tail: trim it to leave
+            # what an eager forward on the real rows leaves.
+            for mixer in self._mixers():
+                labels = getattr(mixer, "last_assignment_", None)
+                if labels is not None:
+                    mixer.last_assignment_ = labels[: labels.shape[0] // bucket * batch]
+        return prediction[:batch]
+
+    def _mixers(self) -> tuple:
+        return (self.extractor.temporal_mixer, self.extractor.entity_mixer)
 
     def _plan_for(self, windows: np.ndarray):
         """Fetch (or trace and compile) the plan for this input signature."""
-        key = (windows.shape, windows.dtype.str, self._prototype_version)
+        # An instance-level ``assignment_weights`` override (the knockout
+        # attribution patches one) changes how ProtoAttn routes, so the
+        # key holds the override objects: setting or popping one retraces.
+        overrides = tuple(vars(mixer).get("assignment_weights") for mixer in self._mixers())
+        key = (windows.shape, windows.dtype.str, self._prototype_version, overrides)
         # Lock-free fast path for the steady state (same shape, same
         # bank): safe because the key embeds the prototype version, so a
         # stale cached pair can never match a post-mutation key.

@@ -822,7 +822,8 @@ def bench_plan_engine(quick: bool = False) -> dict:
     evaluated on the single-window (B=1) latency path, where per-op
     Python dispatch dominates the eager forward; larger batches shift
     time into numpy kernels both engines share and are reported
-    informationally.
+    informationally.  ``mixed`` replays a seeded sequence of batch sizes
+    (see :func:`_bench_plan_mixed`).
     """
     from repro.core.model import FOCUSConfig, FOCUSForecaster
     from repro.nn import init as nn_init
@@ -884,6 +885,7 @@ def bench_plan_engine(quick: bool = False) -> dict:
 
     stats = model.plan_stats()
     gate_speedup = batches[str(dims["batch_sizes"][0])]["speedup"]
+    mixed = _bench_plan_mixed(model, dims)
     return {
         "dims": {k: v for k, v in dims.items() if k != "batch_sizes"},
         "batch_sizes": list(dims["batch_sizes"]),
@@ -893,10 +895,53 @@ def bench_plan_engine(quick: bool = False) -> dict:
         "plan_buffers": stats.num_buffers,
         "arena_kb": round(stats.arena_bytes / 1024.0, 1),
         "batches": batches,
+        "mixed": mixed,
         "bitwise_equal": True,
         "speedup_uncached": gate_speedup,
         "gate": PLAN_SPEEDUP_GATE,
         "meets_plan_gate": bool(gate_speedup >= PLAN_SPEEDUP_GATE),
+    }
+
+
+def _bench_plan_mixed(model, dims, calls: int = 200) -> dict:
+    """Plan replay under mixed batch sizes: ``calls`` seeded calls with
+    ``B`` uniform in 1..32, from an empty plan cache.
+
+    The first pass compiles each power-of-two bucket once; the second,
+    identical pass is timed.  ``compiles`` counts the plans built over
+    both passes — deterministic, so CI gates it (``<= 6``) instead of a
+    timing.  Every answer of both passes must equal eager bitwise.
+    """
+    rng = np.random.default_rng(29)
+    shape = (dims["lookback"], dims["entities"])
+    sequence = [
+        rng.standard_normal((int(batch),) + shape)
+        for batch in rng.integers(1, 33, size=calls)
+    ]
+    expected = [model.forecast_batch(w, engine="eager") for w in sequence]
+    model._invalidate_plans()
+    # Every compile installs a new plan (and PlanStats) as the most
+    # recent; holding them keeps their ids unique while counting.
+    built = {}
+    seconds = []
+    for timed in (False, True):
+        for windows, eager in zip(sequence, expected):
+            started = time.perf_counter()
+            planned = model.forecast_batch(windows, engine="plan")
+            elapsed = time.perf_counter() - started
+            if not np.array_equal(planned, eager, equal_nan=True):
+                raise RuntimeError(
+                    f"plan engine diverged from eager at mixed batch {len(windows)}"
+                )
+            stats = model.plan_stats()
+            built[id(stats)] = stats
+            if timed:
+                seconds.append(elapsed)
+    return {
+        "calls": calls,
+        "p50_ms": round(float(np.percentile(seconds, 50)) * 1e3, 4),
+        "p99_ms": round(float(np.percentile(seconds, 99)) * 1e3, 4),
+        "compiles": len(built),
     }
 
 

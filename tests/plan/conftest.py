@@ -50,6 +50,22 @@ def build_plan_model(
     return model
 
 
+@pytest.fixture
+def compile_count(monkeypatch) -> list:
+    """Grows by one per ``repro.engine.compile_plan`` call (plan built)."""
+    import repro.engine
+
+    calls = []
+    compile_plan = repro.engine.compile_plan
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compile_plan(*args, **kwargs)
+
+    monkeypatch.setattr(repro.engine, "compile_plan", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def model() -> FOCUSForecaster:
     return build_plan_model()

@@ -1,8 +1,9 @@
 """Plan invalidation: no sanctioned mutation can serve a stale replay.
 
-Plans are keyed by ``(input shape, dtype, prototype version)`` and the
-version bumps on every sanctioned mutation, so a stale plan can never
-*match* again — it is also actively evicted.  The property test drives
+Plans are keyed by ``(bucketed input shape, dtype, prototype version,
+assignment_weights overrides)`` and the version bumps on every
+sanctioned mutation, so a stale plan can never *match* again — it is
+also actively evicted.  The property test drives
 random mutation sequences and re-checks bit-equivalence after each
 step; the structural tests pin the cache mechanics and the capture
 layer's rejection of data-dependent leaves (the failure mode that would
@@ -101,11 +102,18 @@ def test_stale_version_plans_are_evicted():
     assert len(model._plans) == 1 and versions == {model._prototype_version}
 
 
-def test_plan_cache_is_bounded():
+def test_plan_cache_is_bounded(compile_count):
     model = build_plan_model()
-    for batch in range(1, model.PLAN_CACHE_CAPACITY + 4):
+    # Powers of two are distinct buckets, so the LRU must overflow.
+    buckets = [2**i for i in range(model.PLAN_CACHE_CAPACITY + 3)]
+    for batch in buckets:
         model.forecast_batch(make_windows(model, batch), engine="plan")
-    assert len(model._plans) <= model.PLAN_CACHE_CAPACITY
+    assert len(compile_count) == len(buckets)
+    assert len(model._plans) == model.PLAN_CACHE_CAPACITY
+    assert 1 not in {key[0][0] for key in model._plans}  # evicted first
+    model.forecast_batch(make_windows(model, 1), engine="plan")  # oldest bucket
+    assert len(compile_count) == len(buckets) + 1
+    assert len(model._plans) == model.PLAN_CACHE_CAPACITY
 
 
 def test_replay_rejects_signature_mismatch(model):

@@ -7,7 +7,7 @@ plan recomputes the assignment from the replayed segments — these tests
 pin that the workspace never changes a bit, that a replay leaves the
 same ``last_assignment_`` as an eager forward, and that an
 instance-level ``assignment_weights`` override routes under the plan
-engine as it does eagerly.
+engine as it does eagerly — setting or popping one retraces.
 """
 
 import numpy as np
@@ -105,13 +105,35 @@ def test_overridden_assignment_weights_route_under_the_plan_engine():
 
             mixer.assignment_weights = masked
         try:
-            model._invalidate_plans()  # retrace with the patch in place
             eager = model.forecast_batch(windows, engine="eager")
             plan = model.forecast_batch(windows, engine="plan")
         finally:
             for mixer in mixers:
                 del mixer.assignment_weights
-            model._invalidate_plans()
         assert np.array_equal(plan, eager)
         importance = float(np.abs(plan - baseline).mean())
         assert importance == result.importance[proto]
+
+
+def test_setting_or_popping_an_override_retraces():
+    """The plan key holds each mixer's ``assignment_weights`` override,
+    so a plan traced before (or under) an override never replays after
+    the override changes."""
+    model = build_plan_model()
+    windows = make_windows(model, 3, seed=6)
+    baseline = model.forecast_batch(windows, engine="eager")
+    assert np.array_equal(model.forecast_batch(windows, engine="plan"), baseline)
+    mixer = model.extractor.temporal_mixer
+    original = type(mixer).assignment_weights.__get__(mixer)
+
+    def reversed_routing(segments):
+        return original(segments)[..., ::-1].copy()
+
+    mixer.assignment_weights = reversed_routing
+    try:
+        patched = model.forecast_batch(windows, engine="eager")
+        assert not np.array_equal(patched, baseline)  # the override bites
+        assert np.array_equal(model.forecast_batch(windows, engine="plan"), patched)
+    finally:
+        del mixer.assignment_weights
+    assert np.array_equal(model.forecast_batch(windows, engine="plan"), baseline)
