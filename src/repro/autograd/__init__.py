@@ -13,6 +13,8 @@ Public surface:
   :func:`ones`, :func:`randn`, :func:`arange`).
 - Functional ops re-exported from the op modules (``matmul``, ``softmax``,
   ``relu``, ``concat`` ...); most are also available as ``Tensor`` methods.
+- Fused layer ops :func:`linear` and :func:`layer_norm`: one graph node
+  per ``nn.Linear`` / ``nn.LayerNorm`` call, with closed-form backwards.
 - :func:`no_grad` context manager and :func:`is_grad_enabled`.
 - Precision modes: :func:`set_default_dtype`, :func:`get_default_dtype`
   and the :func:`default_dtype` context manager (float32/float64 runs).
@@ -86,6 +88,7 @@ from repro.autograd.shape_ops import (
     unsqueeze,
 )
 from repro.autograd.linalg_ops import matmul, outer
+from repro.autograd.layer_ops import layer_norm, linear
 from repro.autograd.grad_check import gradcheck
 from repro.autograd.capture import GraphCapture, active_capture, capture_graph, replayable
 
@@ -157,4 +160,7 @@ __all__ = [
     # linalg
     "matmul",
     "outer",
+    # fused layer ops
+    "layer_norm",
+    "linear",
 ]

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, _set_capture, active_capture
+from repro.autograd.tensor import Tensor, _set_capture, active_capture, get_op_observer
 
 __all__ = [
     "CapturedNode",
@@ -148,8 +148,14 @@ def replayable(
     as the node's replay, so a plan recomputes the value from the
     replayed parents (with one ``scratch`` dict per arena, kept across
     replays) instead of baking in the traced input's value.
+
+    The node is reported to the op observer under ``name``, so profilers
+    attribute its time to it rather than to the next op.
     """
     out = Tensor._wrap(fn([parent.data for parent in parents], {}))
+    observer = get_op_observer()
+    if observer is not None:
+        observer(name, out.shape, [parent.shape for parent in parents], out.dtype)
     capture = active_capture()
     if capture is not None:
         capture.record_op(

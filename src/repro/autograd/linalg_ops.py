@@ -12,7 +12,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Supports 1-D operands (vector dot / matrix-vector) and arbitrary
     broadcast batch dimensions, with gradients reduced back to each
-    operand's shape.
+    operand's shape.  A 2-D operand against a batched one gets its
+    gradient from a single GEMM over the flattened batch, not a batched
+    GEMM summed away by :func:`unbroadcast`.
     """
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
@@ -28,6 +30,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # (..., m, k) @ (k,) -> (..., m)
             ga = np.expand_dims(g, -1) * b.data
             return unbroadcast(ga, a.shape)
+        if a.ndim == 2 and b.ndim > 2:
+            # (m, k) @ (..., k, n): contract g (..., m, n) with b over the
+            # batch axes and n at once -> (m, k).
+            batch = tuple(range(b.ndim - 2))
+            return np.tensordot(g, b.data, axes=(batch + (-1,), batch + (-1,)))
         ga = g @ np.swapaxes(b.data, -1, -2)
         return unbroadcast(ga, a.shape)
 
@@ -40,6 +47,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.ndim == 1:
             gb = np.swapaxes(a.data, -1, -2) @ np.expand_dims(g, -1)
             return unbroadcast(gb.squeeze(-1) if gb.ndim > b.ndim else gb, b.shape)
+        if b.ndim == 2 and a.ndim > 2:
+            # (..., m, k) @ (k, n): stack the batch into rows -> one
+            # (k, B*m) @ (B*m, n) GEMM.
+            rows_a = a.data.reshape(-1, a.shape[-1])
+            return rows_a.T @ g.reshape(-1, g.shape[-1])
         gb = np.swapaxes(a.data, -1, -2) @ g
         return unbroadcast(gb, b.shape)
 

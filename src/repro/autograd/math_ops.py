@@ -95,13 +95,19 @@ def erf(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: ``x * Phi(x)`` with the Gaussian CDF ``Phi``."""
+    """Exact GELU: ``x * Phi(x)`` with the Gaussian CDF ``Phi``.
+
+    The Gaussian pdf is evaluated only in the backward, so a forward
+    under ``no_grad`` never pays for it.
+    """
     x = as_tensor(x)
     cdf = 0.5 * (1.0 + _special.erf(x.data / _SQRT_2))
-    pdf = np.exp(-0.5 * x.data**2) / float(np.sqrt(2.0 * np.pi))
-    return Tensor._make(
-        x.data * cdf, [(x, lambda g: g * (cdf + x.data * pdf))], "gelu"
-    )
+
+    def grad_fn(g: np.ndarray) -> np.ndarray:
+        pdf = np.exp(-0.5 * x.data**2) / float(np.sqrt(2.0 * np.pi))
+        return g * (cdf + x.data * pdf)
+
+    return Tensor._make(x.data * cdf, [(x, grad_fn)], "gelu")
 
 
 def silu(x: Tensor) -> Tensor:

@@ -290,7 +290,9 @@ def _cmd_bench(args) -> int:
     step = report["training_step"]
     print(
         f"  training step  : float64 {step['float64_ms']:.1f}ms vs "
-        f"float32 {step['float32_ms']:.1f}ms  ({step['speedup_fp32']:.2f}x); "
+        f"float32 {step['float32_ms']:.1f}ms  ({step['speedup_fp32']:.2f}x), "
+        f"float64 backward {step['backward_ms']:.1f}ms, "
+        f"{step['graph_nodes_per_step']} graph nodes/forward; "
         f"allocations/step {step['allocs_per_step_legacy']} -> "
         f"{step['allocs_per_step_inplace']} "
         f"(-{step['alloc_reduction']:.0%})"

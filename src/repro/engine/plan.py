@@ -19,10 +19,10 @@ traced output before the plan is returned).
 
 **Constant folding with live views.**  Any node whose ancestors are all
 input-independent leaves is folded to the value captured at trace time;
-pure view nodes over parameters (e.g. ``weight.T``) keep referencing the
-live arrays.  Folding is what eliminates the per-call prototype-query
-projection and its cache-validation scans.  Mutating parameters in
-place without retracing is **not** supported while a plan is cached —
+pure view nodes over parameters keep referencing the live arrays.
+Folding is what eliminates the per-call prototype-query projection and
+its cache-validation scans.  Mutating parameters in place without
+retracing is **not** supported while a plan is cached —
 :class:`~repro.core.model.FOCUSForecaster` invalidates its plans on
 every sanctioned mutation (``set_prototypes``, ``update_prototype``,
 ``to_dtype``).
@@ -207,6 +207,41 @@ def _k_clip(srcs, out, scratch, extras):
 @_register("matmul", "out")
 def _k_matmul(srcs, out, scratch, extras):
     return np.matmul(srcs[0], srcs[1], out=out)
+
+
+@_register("linear", "out")
+def _k_linear(srcs, out, scratch, extras):
+    # Eager: x @ weight.T, then + bias into the same buffer.
+    np.matmul(srcs[0], srcs[1].T, out=out)
+    if len(srcs) == 3:
+        np.add(out, srcs[2], out=out)
+    return out
+
+
+@_register("layer_norm", "out")
+def _k_layer_norm(srcs, out, scratch, extras):
+    # Eager: mean, centred c, sum(c * c) * (1/count), + eps, sqrt, c / std,
+    # * weight, + bias.  ``out`` holds c from the centring on; it must not
+    # alias a source, since weight and bias are read after it is written.
+    x, weight, bias = srcs
+    axes, eps = extras
+    mu = np.mean(x, axis=axes, keepdims=True)
+    np.subtract(x, mu, out=out)
+    square = _scratch_like(scratch, "square", out)
+    np.multiply(out, out, out=square)
+    std = np.add.reduce(square, axis=axes, keepdims=True)
+    scale = scratch.get("scale")
+    if scale is None:
+        count = 1
+        for axis in axes:
+            count *= x.shape[axis]
+        scale = scratch["scale"] = 1.0 / max(count, 1)
+    np.multiply(std, scale, out=std)
+    np.add(std, eps, out=std)
+    np.sqrt(std, out=std)
+    np.true_divide(out, std, out=out)
+    np.multiply(out, weight, out=out)
+    return np.add(out, bias, out=out)
 
 
 @_register("outer", "fresh")

@@ -276,6 +276,12 @@ class MaintenanceWorker:
         if depth is None:
             return  # dropped (non-finite) — never profile poisoned data
         self.stats_counters["rows_recorded"] += 1
+        if self._pending_trigger is not None:
+            # Wake the loop on the row that settles a pending job instead
+            # of leaving it to the loop's 0.2 s poll.
+            with self._cond:
+                if self._pending_ready():
+                    self._cond.notify_all()
         lookback = self.model.config.lookback
         if depth < lookback:
             return

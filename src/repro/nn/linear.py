@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, matmul
+from repro.autograd import Tensor, linear
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -27,10 +27,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def _extra_repr(self) -> str:
         return f"(in={self.in_features}, out={self.out_features})"

@@ -9,7 +9,7 @@ on the forecast before computing the loss.
 
 from __future__ import annotations
 
-from repro.autograd import Tensor, mean, sqrt, var
+from repro.autograd import Tensor, layer_norm, mean, sqrt, var
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -28,10 +28,7 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         axes = tuple(range(x.ndim - len(self.normalized_shape), x.ndim))
-        mu = mean(x, axis=axes, keepdims=True)
-        sigma2 = var(x, axis=axes, keepdims=True)
-        normalized = (x - mu) / sqrt(sigma2 + self.eps)
-        return normalized * self.weight + self.bias
+        return layer_norm(x, self.weight, self.bias, axes, self.eps)
 
     def _extra_repr(self) -> str:
         return f"({self.normalized_shape})"

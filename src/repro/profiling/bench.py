@@ -305,43 +305,56 @@ def _build_step_fixture(dims: dict, dtype) -> tuple:
     return model, optimizer, x, y
 
 
-def _one_step(model, optimizer, x, y, legacy: bool = False) -> None:
-    """One full training step: forward, MSE, backward, clip, update."""
+def _one_step(model, optimizer, x, y, legacy: bool = False) -> float:
+    """One full training step: forward, MSE, backward, clip, update.
+
+    Returns the seconds spent in ``backward()``.
+    """
     from repro.optim import clip_grad_norm
 
     pred = model(x)
     loss = ((pred - y) ** 2.0).mean()
     optimizer.zero_grad()
+    started = time.perf_counter()
     if legacy:
         with ag.legacy_accumulation():
             loss.backward()
     else:
         loss.backward()
+    backward_s = time.perf_counter() - started
     clip_grad_norm(optimizer.parameters, 5.0)
     optimizer.step()
+    return backward_s
 
 
 def bench_training_step(quick: bool = False) -> dict:
-    """Full fwd+bwd+step latency: float64 vs float32, and per-step
+    """Full fwd+bwd+step latency: float64 vs float32, the float64
+    backward share, the autograd graph size of one forward, and per-step
     engine allocation counts with the in-place vs legacy accumulation."""
     from repro.optim import AdamW
-    from repro.profiling.profiler import track_allocations
+    from repro.profiling.profiler import profile_ops, track_allocations
 
     dims = _STEP_QUICK if quick else _STEP_FULL
-    timings = {}
+    timings, backward_ms = {}, {}
     for dtype in (np.float64, np.float32):
         model, optimizer, x, y = _build_step_fixture(dims, dtype)
         for _ in range(dims["warmup"]):
             _one_step(model, optimizer, x, y)
+        backward_s = 0.0
         started = time.perf_counter()
         for _ in range(dims["rounds"]):
-            _one_step(model, optimizer, x, y)
-        timings[np.dtype(dtype).name] = (
-            (time.perf_counter() - started) / dims["rounds"] * 1e3
-        )
+            backward_s += _one_step(model, optimizer, x, y)
+        name = np.dtype(dtype).name
+        timings[name] = (time.perf_counter() - started) / dims["rounds"] * 1e3
+        backward_ms[name] = backward_s / dims["rounds"] * 1e3
 
     # Allocation counts (float64, steady state: scratch pools are warm).
     model, optimizer, x, y = _build_step_fixture(dims, np.float64)
+    # Graph size: the op events of one training-mode forward (a count,
+    # so it is deterministic for a given model config).
+    with profile_ops() as ops:
+        model(x)
+    graph_nodes = sum(entry.calls for entry in ops.stats.values())
     _one_step(model, optimizer, x, y)
     with track_allocations() as allocs:
         _one_step(model, optimizer, x, y)
@@ -359,6 +372,8 @@ def bench_training_step(quick: bool = False) -> dict:
         "float64_ms": round(timings["float64"], 3),
         "float32_ms": round(timings["float32"], 3),
         "speedup_fp32": round(timings["float64"] / timings["float32"], 2),
+        "backward_ms": round(backward_ms["float64"], 3),
+        "graph_nodes_per_step": graph_nodes,
         "allocs_per_step_inplace": inplace_allocs,
         "allocs_per_step_legacy": legacy_allocs,
         "alloc_bytes_inplace": inplace_bytes,

@@ -5,6 +5,10 @@ tensor operation reports its name, output shape, and parent shapes, from
 which FLOPs are derived:
 
 - ``matmul``: ``2 * prod(out) * inner_dim`` (multiply-accumulate pairs);
+- ``linear``: the same GEMM count, plus one add per output with a bias;
+- ``layer_norm``: one FLOP per element for each full-tensor pass it makes
+  (mean, centre, square, sum, divide, scale, shift) and four per
+  normalized statistic (``1/count``, ``+eps``, ``sqrt``);
 - ``conv1d``: ``2 * prod(out) * C_in * K``;
 - ``softmax`` and friends: a small constant times the element count;
 - elementwise ops: one FLOP per output element.
@@ -14,7 +18,9 @@ the observed region.  Because this engine retains all activations for
 the backward pass, that sum is the faithful analog of the paper's
 inference peak-memory metric (intermediate-result storage).  Assignment
 search inside ProtoAttn and other pure-numpy computations report
-themselves through :meth:`OpCounter.add_flops`.
+themselves through :meth:`OpCounter.add_flops`; the replayable routing
+nodes that carry the assignment search (``protoattn_gather``,
+``protoattn_assign``, ``deep_routing``) are therefore charged 0 FLOPs.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ _FREE_OPS = {
     "leaf",
 }
 
+# Replayable routing nodes (repro.autograd.replayable): their numpy work
+# is the nearest-prototype search, which ProtoAttn charges once through
+# OpCounter.add_flops("proto_assignment").
+_SELF_CHARGED_OPS = {"protoattn_gather", "protoattn_assign", "deep_routing"}
+
 
 def _op_flops(op_name: str, out_shape: tuple, parent_shapes: list[tuple]) -> int:
     out_elems = int(np.prod(out_shape)) if out_shape else 1
@@ -74,6 +85,14 @@ def _op_flops(op_name: str, out_shape: tuple, parent_shapes: list[tuple]) -> int
         else:
             inner = 1
         return 2 * out_elems * int(inner)
+    if op_name == "linear":
+        # parents: x (..., in), weight (out, in)[, bias (out,)]
+        bias_adds = out_elems if len(parent_shapes) == 3 else 0
+        return 2 * out_elems * int(parent_shapes[1][1]) + bias_adds
+    if op_name == "layer_norm":
+        # parents: x, weight, bias; weight has the normalized trailing shape
+        stats = out_elems // max(int(np.prod(parent_shapes[1])), 1)
+        return 7 * out_elems + 4 * stats
     if op_name == "conv1d":
         # parents: x (B, C_in, L), weight (O, C_in, K)[, bias]
         if len(parent_shapes) >= 2 and len(parent_shapes[1]) == 3:
@@ -82,7 +101,7 @@ def _op_flops(op_name: str, out_shape: tuple, parent_shapes: list[tuple]) -> int
         return 2 * out_elems
     if op_name == "outer":
         return out_elems
-    if op_name in _FREE_OPS:
+    if op_name in _FREE_OPS or op_name in _SELF_CHARGED_OPS:
         return 0
     if op_name in ("sum", "mean", "max", "min", "var"):
         parent_elems = (

@@ -36,6 +36,23 @@ class TestMathOps:
     def test_smooth_unary(self, fn, rng):
         ag.gradcheck(fn, [make((3, 4), rng)])
 
+    def test_gelu_evaluates_the_pdf_only_for_a_gradient(self, rng, monkeypatch):
+        from scipy import special
+
+        x = make((3, 4), rng)
+        exp_calls = []
+        real_exp = np.exp
+        monkeypatch.setattr(
+            np, "exp", lambda *a, **k: exp_calls.append(1) or real_exp(*a, **k)
+        )
+        with ag.no_grad():
+            out = ag.gelu(x)
+        assert exp_calls == []
+        expected = x.data * (0.5 * (1.0 + special.erf(x.data / np.sqrt(2.0))))
+        assert np.array_equal(out.data, expected)
+        ag.gelu(x).sum().backward()
+        assert exp_calls == [1]
+
     def test_log_sqrt_positive_domain(self, rng):
         ag.gradcheck(ag.log, [make((3, 4), rng, positive=True)])
         ag.gradcheck(ag.sqrt, [make((3, 4), rng, positive=True)])
@@ -241,6 +258,31 @@ class TestLinalgOps:
 
     def test_matmul_broadcast_batch_left(self, rng):
         ag.gradcheck(ag.matmul, [make((3, 4), rng), make((2, 4, 5), rng)])
+
+    def test_matmul_4d_by_2d(self, rng):
+        ag.gradcheck(ag.matmul, [make((2, 2, 3, 4), rng), make((4, 5), rng)])
+
+    def test_matmul_2d_by_4d(self, rng):
+        ag.gradcheck(ag.matmul, [make((3, 4), rng), make((2, 2, 4, 5), rng)])
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [((3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((2, 2, 3, 4), (4, 5)),
+         ((3, 4), (2, 2, 4, 5))],
+    )
+    def test_matmul_folded_batch_gradient_matches_batched_sum(self, a_shape, b_shape, rng):
+        """The 2-D operand's one-GEMM gradient equals the batched GEMM
+        reduced over the batch (the pre-folding formula) to rounding."""
+        from repro.autograd.tensor import unbroadcast
+
+        a, b = make(a_shape, rng), make(b_shape, rng)
+        out = ag.matmul(a, b)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        expected_a = unbroadcast(g @ np.swapaxes(b.data, -1, -2), a_shape)
+        expected_b = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b_shape)
+        np.testing.assert_allclose(a.grad, expected_a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(b.grad, expected_b, rtol=1e-12, atol=1e-12)
 
     def test_matmul_vector_vector(self, rng):
         ag.gradcheck(ag.matmul, [make((4,), rng), make((4,), rng)])

@@ -324,6 +324,24 @@ class TestBackgroundLoop:
             assert worker.join_idle(timeout=20.0)
             assert worker.stats()["jobs_started"] == 1
 
+    def test_settling_row_wakes_the_loop(self, rng):
+        """The row that settles a pending job notifies the loop, so the
+        job does not wait for the loop's poll timeout."""
+        worker = make_worker(settle_rows=8, mode="full")
+        feed(worker, regime_rows(rng, 100))
+        assert worker.request_maintenance("drift onset") is True
+        mark = worker.stats()["rows_recorded"]
+        wakes = []
+        notify_all = worker._cond.notify_all
+
+        def spy():
+            wakes.append(worker.stats()["rows_recorded"] - mark)
+            notify_all()
+
+        worker._cond.notify_all = spy
+        feed(worker, regime_rows(rng, 8))
+        assert wakes and wakes[0] == 8
+
     def test_close_mid_refit_abandons_cleanly(self, rng):
         sink = ListSink()
         worker = make_worker(

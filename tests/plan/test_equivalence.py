@@ -16,7 +16,8 @@ Three layers of fuzz:
 - hypothesis-drawn *tensor programs* through
   :func:`repro.engine.trace_function`, covering the kernel registry
   (elementwise chains, reductions with axis/keepdims, views, concat,
-  softmax/logsumexp) independently of the model.
+  softmax/logsumexp, the fused linear/layer_norm) independently of the
+  model.
 
 NaN-poisoned rows ride through every layer: a NaN window must produce
 the same NaN pattern from both engines (serving's NaN-policy fallback
@@ -153,6 +154,13 @@ def _programs():
         "matmul_mix": lambda x, y: ag.matmul(x, y.transpose()) + (x * x).sum(),
         "variance": lambda x, y: ((x - x.mean(axis=1, keepdims=True)) ** 2).mean(axis=1)
         + ag.sqrt(ag.maximum(y, 0.0)).sum(axis=1),
+        # Fused layer ops, with y as the (out=rows, in=cols) weight.
+        "linear": lambda x, y: ag.linear(ag.tanh(x), y, y[:, 0])
+        + ag.linear(x, y).sum(axis=0),
+        # The first layer_norm's x dies at that step, so the kernel
+        # writes over its buffer in place.
+        "layer_norm": lambda x, y: ag.layer_norm(x * 2.0 + y, y[0], y[-1], (1,))
+        + ag.layer_norm(x, y, x * 0.5, (0, 1)),
     }
 
 
@@ -165,6 +173,18 @@ def _programs():
     poison=st.booleans(),
 )
 def test_fuzz_traced_programs_bitwise(name, rows, cols, seed, poison):
+    _check_program_bitwise(name, rows, cols, seed, poison)
+
+
+@pytest.mark.parametrize("name", ["linear", "layer_norm"])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (3, 5), (6, 2)])
+@pytest.mark.parametrize("poison", [False, True])
+def test_fused_layer_kernels_bitwise(name, rows, cols, poison):
+    """Every fused-op kernel shape class, whatever the fuzz draws."""
+    _check_program_bitwise(name, rows, cols, rows * 7 + cols, poison)
+
+
+def _check_program_bitwise(name, rows, cols, seed, poison):
     fn = _programs()[name]
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, cols))

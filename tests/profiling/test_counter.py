@@ -144,3 +144,56 @@ class TestProfileModel:
         model = FOCUSForecaster(cfg, prototypes=rng.standard_normal((4, 12)))
         report = profile_model(model, (1, 48, 4))
         assert report.per_op_flops.get("proto_assignment", 0) > 0
+
+
+class TestReplayableRouting:
+    """ProtoAttn routing nodes (``repro.autograd.replayable``) report to
+    the op observer under their own names and cost 0 FLOPs there: their
+    arithmetic is charged once, as ``proto_assignment``."""
+
+    @staticmethod
+    def _model(rng):
+        from repro.core import FOCUSConfig, FOCUSForecaster
+
+        cfg = FOCUSConfig(
+            lookback=48, horizon=12, num_entities=4, segment_length=12,
+            num_prototypes=4, d_model=16, num_readout=2,
+        )
+        return FOCUSForecaster(cfg, prototypes=rng.standard_normal((4, 12)))
+
+    def test_recording_observer_sees_the_gather(self, rng):
+        from repro.autograd.tensor import get_op_observer, set_op_observer
+
+        model = self._model(rng)
+        model.eval()
+        x = ag.Tensor(rng.standard_normal((2, 48, 4)))
+        events = []
+        previous = get_op_observer()
+        set_op_observer(lambda name, out_shape, *_: events.append((name, out_shape)))
+        try:
+            with ag.no_grad():
+                model(x)
+        finally:
+            set_op_observer(previous)
+        gathers = [shape for name, shape in events if name == "protoattn_gather"]
+        # One per mixer: temporal (B*N, l, d) and entity (B*l, N, d).
+        assert gathers == [(8, 4, 16), (8, 4, 16)]
+
+    def test_profiler_charges_routing_time_to_the_routing_op(self, rng):
+        from repro.profiling import profile_ops
+
+        model = self._model(rng)
+        model.eval()
+        with ag.no_grad(), profile_ops() as prof:
+            model(ag.Tensor(rng.standard_normal((1, 48, 4))))
+        assert prof.stats["protoattn_gather"].calls == 2
+        assert prof.stats["protoattn_gather"].seconds > 0.0
+
+    def test_flop_totals_unchanged_by_routing_events(self, rng):
+        report = profile_model(self._model(rng), (1, 48, 4))
+        assert report.per_op_flops["protoattn_assign"] == 0
+        assert report.per_op_flops["proto_assignment"] == 6144
+        # Before the fused ops this forward counted 171076 FLOPs; the four
+        # LayerNorms each drop one mean and one subtract over their
+        # 1*4*4*16 = 256 elements.  The routing events add nothing.
+        assert report.flops == 171076 - 4 * 2 * 256

@@ -150,6 +150,9 @@ class TestCommands:
         assert step["float64_ms"] > 0 and step["float32_ms"] > 0
         assert step["allocs_per_step_inplace"] < step["allocs_per_step_legacy"]
         assert step["alloc_reduction"] > 0
+        assert 0 < step["backward_ms"] < step["float64_ms"]
+        # One node per Linear / LayerNorm call (the CI bench-smoke gate).
+        assert step["graph_nodes_per_step"] <= 92
 
     def test_bench_no_out_skips_writing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
