@@ -38,16 +38,16 @@ def prototype_importance(
 ) -> AttributionResult:
     """Knock out each prototype's routing and measure the forecast delta.
 
-    ``windows`` is ``(B, L, N)``.  The knockout zeroes the assignment
-    rows of the targeted prototype in both branches, so affected segments
-    keep only their residual-embedding representation.
+    ``windows`` is ``(B, L, N)``.  The knockout (:attr:`ProtoAttn.knockout`)
+    routes zero context to the segments of the targeted prototype in both
+    branches, so they keep only their residual-embedding representation.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError("expected (B, L, N) windows")
     model.eval()
     mixers = (model.extractor.temporal_mixer, model.extractor.entity_mixer)
-    if not all(hasattr(m, "assignment_weights") for m in mixers):
+    if not all(hasattr(m, "knockout") for m in mixers):
         raise RuntimeError("prototype attribution requires the ProtoAttn mixer")
     k = model.config.num_prototypes
 
@@ -59,27 +59,17 @@ def prototype_importance(
     usage /= max(usage.sum(), 1.0)
 
     importance = np.zeros(k)
-    originals = [mixer.assignment_weights for mixer in mixers]
     try:
         for proto in range(k):
-            for mixer, original in zip(mixers, originals):
-                def masked(segments, original=original, proto=proto):
-                    weights = original(segments)
-                    weights = weights.copy()
-                    weights[..., proto] = 0.0
-                    return weights
-
-                # An instance-level override: ProtoAttn then routes
-                # through this matrix instead of its hard-routing gather.
-                mixer.assignment_weights = masked
+            knockout = np.arange(k) == proto
+            for mixer in mixers:
+                mixer.knockout = knockout
             with ag.no_grad():
                 knocked = model(Tensor(windows)).data
             importance[proto] = float(np.abs(knocked - baseline).mean())
     finally:
-        # Drop the overrides (not re-assign the bound originals, which
-        # would stay instance-level and keep the gather disabled).
         for mixer in mixers:
-            vars(mixer).pop("assignment_weights", None)
+            mixer.knockout = None
     return AttributionResult(
         importance=importance, usage=usage, baseline_forecast=baseline
     )

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.autograd.tensor import Tensor, _set_capture, active_capture, get_op_observer
+from repro.autograd.tensor import is_grad_enabled
 
 __all__ = [
     "CapturedNode",
@@ -139,20 +140,34 @@ def replayable(
     name: str,
     fn: Callable[[list, dict], np.ndarray],
     parents: Sequence[Tensor],
+    grads: Sequence[Callable[[np.ndarray, object], np.ndarray] | None] | None = None,
 ) -> Tensor:
-    """Compute a non-differentiable, input-dependent value of ``parents``.
+    """Compute an input-dependent value of ``parents`` as one graph node.
 
     ``fn(parent_arrays, scratch)`` runs now on the parents' data with a
-    fresh ``scratch`` dict; its result comes back as a Tensor without
-    gradient.  Under an active capture the same ``fn`` is also recorded
-    as the node's replay, so a plan recomputes the value from the
-    replayed parents (with one ``scratch`` dict per arena, kept across
-    replays) instead of baking in the traced input's value.
+    fresh ``scratch`` dict.  Under an active capture the same ``fn`` is
+    also recorded as the node's replay, so a plan recomputes the value
+    from the replayed parents (with one ``scratch`` dict per arena, kept
+    across replays) instead of baking in the traced input's value.
+
+    ``grads``, if given, pairs a ``grad(g, saved)`` (or None) with each
+    leading parent, ``saved`` being what this call's ``fn`` left in
+    ``scratch["saved"]``; without it the result carries no gradient.
 
     The node is reported to the op observer under ``name``, so profilers
     attribute its time to it rather than to the next op.
     """
-    out = Tensor._wrap(fn([parent.data for parent in parents], {}))
+    scratch: dict = {}
+    out = Tensor._wrap(fn([parent.data for parent in parents], scratch))
+    if grads is not None and is_grad_enabled():
+        saved = scratch.get("saved")
+        out._parents = [
+            (parent, lambda g, grad=grad: grad(g, saved))
+            for parent, grad in zip(parents, grads)
+            if grad is not None and parent.requires_grad
+        ]
+        if out._parents:
+            out.requires_grad, out._op_name = True, name
     observer = get_op_observer()
     if observer is not None:
         observer(name, out.shape, [parent.shape for parent in parents], out.dtype)

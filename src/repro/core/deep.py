@@ -20,9 +20,10 @@ from repro.nn import GELU, LayerNorm, Linear, Module
 class DeepProtoBlock(Module):
     """One extra prototype-attentive layer over hidden tokens.
 
-    Input: tokens ``(B', l, d)`` and a routing matrix ``(B', l, k)``
-    (the layer-1 assignment).  Output: tokens of the same shape after
-    prototype attention + residual + FFN, all in feature space.
+    Input: tokens ``(B', l, d)``, the layer-1 ProtoAttn ``router`` and its
+    ``(B', l, p)`` segments, by whose assignment ``router.route`` routes
+    this layer's context.  Output: tokens of the same shape after prototype
+    attention + residual + FFN, all in feature space.
     """
 
     def __init__(self, num_prototypes: int, d_model: int):
@@ -45,23 +46,21 @@ class DeepProtoBlock(Module):
         self.act = GELU()
         self.norm2 = LayerNorm(d_model)
 
-    def forward(self, tokens: Tensor, assignment: np.ndarray | Tensor) -> Tensor:
+    def forward(self, tokens: Tensor, router, segments: Tensor) -> Tensor:
         if tokens.ndim != 3 or tokens.shape[-1] != self.d_model:
             raise ValueError(f"expected (B', l, d={self.d_model}), got {tokens.shape}")
-        if assignment.shape != (*tokens.shape[:2], self.num_prototypes):
+        if segments.shape[:2] != tokens.shape[:2] or router.num_prototypes != self.num_prototypes:
             raise ValueError(
-                f"assignment shape {assignment.shape} does not match tokens "
-                f"{tokens.shape[:2]} with k={self.num_prototypes}"
+                f"assignment of {segments.shape[:2]} segments to k={router.num_prototypes} "
+                f"does not match tokens {tokens.shape[:2]} with k={self.num_prototypes}"
             )
-        if not isinstance(assignment, Tensor):
-            assignment = Tensor(assignment)
         keys = self.w_k(tokens)
         values = self.w_v(tokens)
         scores = ag.matmul(self.proto_queries, ag.swapaxes(keys, -1, -2))
         scores = scores * float(1.0 / np.sqrt(self.d_model))
         attention = ag.softmax(scores, axis=-1)  # (B', k, l)
         context = ag.matmul(attention, values)  # (B', k, d)
-        mixed = ag.matmul(assignment, context)  # (B', l, d)
+        mixed = router.route(segments, context)  # (B', l, d)
         tokens = self.norm1(tokens + mixed)
         tokens = self.norm2(tokens + self.ffn2(self.act(self.ffn1(tokens))))
         return tokens

@@ -135,7 +135,7 @@ class DualBranchExtractor(Module):
         self.norm_t2 = LayerNorm(d_model)
         self.norm_e2 = LayerNorm(d_model)
         # Optional deeper prototype-attentive layers (extension; see
-        # repro.core.deep).  Layer-1's hard assignment is reused.
+        # repro.core.deep).  Each routes by the layer-1 mixer's assignment.
         from repro.core.deep import DeepProtoBlock
         from repro.nn import ModuleList
 
@@ -145,14 +145,6 @@ class DualBranchExtractor(Module):
         )
         self.deep_e = ModuleList(
             [DeepProtoBlock(k, d_model) for _ in range(n_layers - 1)]
-        )
-
-    @staticmethod
-    def _routing(mixer, tokens: Tensor) -> Tensor:
-        """Layer-1 assignment reused by the deep blocks; replayable, so a
-        plan recomputes it from the replayed tokens."""
-        return ag.replayable(
-            "deep_routing", lambda arrays, _: mixer.assignment_weights(arrays[0]), (tokens,)
         )
 
     def forward(self, segments: Tensor) -> tuple[Tensor, Tensor]:
@@ -170,10 +162,8 @@ class DualBranchExtractor(Module):
             residual_t = residual_t + self.pos_t
         h_t = self.norm_t(mixed_t + residual_t)
         h_t = self.norm_t2(h_t + self.ffn_t2(self.ffn_act(self.ffn_t1(h_t))))
-        if len(self.deep_t):
-            routing_t = self._routing(self.temporal_mixer, temporal_tokens)
-            for block in self.deep_t:
-                h_t = block(h_t, routing_t)
+        for block in self.deep_t:
+            h_t = block(h_t, self.temporal_mixer, temporal_tokens)
         h_t = h_t.reshape(batch, num_entities, n_segments, self.d_model)
 
         # Entity branch: one length-N sequence per (sample, segment slot).
@@ -185,10 +175,8 @@ class DualBranchExtractor(Module):
             residual_e = residual_e + self.pos_e
         h_e = self.norm_e(mixed_e + residual_e)
         h_e = self.norm_e2(h_e + self.ffn_e2(self.ffn_act(self.ffn_e1(h_e))))
-        if len(self.deep_e):
-            routing_e = self._routing(self.entity_mixer, entity_tokens)
-            for block in self.deep_e:
-                h_e = block(h_e, routing_e)
+        for block in self.deep_e:
+            h_e = block(h_e, self.entity_mixer, entity_tokens)
         h_e = h_e.reshape(batch, n_segments, num_entities, self.d_model)
         h_e = ag.swapaxes(h_e, 1, 2)  # (B, N, l, d), aligned with h_t
         return h_t, h_e

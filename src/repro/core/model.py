@@ -108,10 +108,9 @@ class FOCUSForecaster(Module):
         # this so EMA adaptation invalidates stale cached forecasts.
         self._prototype_version = 0
         # Compiled execution plans (repro.engine), keyed by (bucketed
-        # input shape, input dtype, prototype version, assignment_weights
-        # overrides).  Guarded by a lock: serving threads share the
-        # cache, and a build must not race a mutation-triggered
-        # invalidation.
+        # input shape, input dtype, prototype version).  Guarded by a
+        # lock: serving threads share the cache, and a build must not
+        # race a mutation-triggered invalidation.
         self._plans: "collections.OrderedDict" = collections.OrderedDict()
         self._plan_lock = threading.Lock()
         # (key, plan) of the most recent hit, read without the lock.
@@ -374,9 +373,9 @@ class FOCUSForecaster(Module):
         returns the first ``B`` rows — exact, because rows never interact
         — so one plan serves every batch size in its bucket (six cover
         ``B <= 32``).  Plans are traced on first use per (bucketed shape,
-        dtype, prototype version, ``assignment_weights`` overrides) and
-        invalidated by ``set_prototypes`` / ``update_prototype`` /
-        ``to_dtype``; per-thread arenas make concurrent replay safe.
+        dtype, prototype version) and invalidated by ``set_prototypes`` /
+        ``update_prototype`` / ``to_dtype``; per-thread arenas make
+        concurrent replay safe.
 
         Returns a fresh float64 array that aliases no internal buffer.
         """
@@ -424,13 +423,14 @@ class FOCUSForecaster(Module):
             windows = padded
         prediction = self._plan_for(windows).replay(windows)
         if bucket != batch:
-            # Both mixers flatten with the batch axis outermost, so the
-            # pad rows' labels are a contiguous tail: trim it to leave
-            # what an eager forward on the real rows leaves.
+            # Both mixers flatten with the batch axis outermost, so the pad
+            # rows' labels and attention maps are a contiguous tail: trim
+            # it to leave what an eager forward on the real rows leaves.
             for mixer in self._mixers():
-                labels = getattr(mixer, "last_assignment_", None)
-                if labels is not None:
-                    mixer.last_assignment_ = labels[: labels.shape[0] // bucket * batch]
+                for name in ("last_assignment_", "last_attention_"):
+                    recorded = getattr(mixer, name, None)
+                    if recorded is not None:
+                        setattr(mixer, name, recorded[: recorded.shape[0] // bucket * batch])
         return prediction[:batch]
 
     def _mixers(self) -> tuple:
@@ -438,11 +438,7 @@ class FOCUSForecaster(Module):
 
     def _plan_for(self, windows: np.ndarray):
         """Fetch (or trace and compile) the plan for this input signature."""
-        # An instance-level ``assignment_weights`` override (the knockout
-        # attribution patches one) changes how ProtoAttn routes, so the
-        # key holds the override objects: setting or popping one retraces.
-        overrides = tuple(vars(mixer).get("assignment_weights") for mixer in self._mixers())
-        key = (windows.shape, windows.dtype.str, self._prototype_version, overrides)
+        key = (windows.shape, windows.dtype.str, self._prototype_version)
         # Lock-free fast path for the steady state (same shape, same
         # bank): safe because the key embeds the prototype version, so a
         # stale cached pair can never match a post-mutation key.

@@ -78,6 +78,8 @@ class ProtoAttn(Module):
         self.w_v = Linear(p, d_model, bias=False)
         self.last_assignment_: np.ndarray | None = None
         self.last_attention_: np.ndarray | None = None
+        # (k,) bool mask: segments of a True prototype route zero context.
+        self.knockout: np.ndarray | None = None
         # Inference cache for C_Q = W_E(C): prototypes are fixed online, so
         # the projection is recomputed only when W_E or C actually change.
         # Tuple of (W_E snapshot, prototype snapshot, projected queries).
@@ -107,12 +109,6 @@ class ProtoAttn(Module):
             cache = (weight.copy(), self.prototypes.copy(), projected)
             self._query_cache = cache
         return Tensor(cache[2])
-
-    def assign(self, segments: np.ndarray) -> np.ndarray:
-        """Hard-assign ``(..., p)`` segments to nearest prototypes."""
-        flat = segments.reshape(-1, self.segment_length)
-        labels = composite_distance(flat, self.prototypes, self.alpha).argmin(axis=1)
-        return labels.reshape(segments.shape[:-1])
 
     def assignment_weights(self, segments: np.ndarray) -> np.ndarray:
         """Assignment matrix ``A``: one-hot (hard) or softmax (soft)."""
@@ -166,48 +162,66 @@ class ProtoAttn(Module):
         scores = ag.matmul(proto_queries, ag.swapaxes(keys, -1, -2))  # (B, k, l)
         scores = scores * float(1.0 / np.sqrt(self.d_model))
         attention = ag.softmax(scores, axis=-1)
-        self.last_attention_ = attention.data
         proto_context = ag.matmul(attention, values)  # (B, k, d)
-        # The routing (Algorithm 2 l.1-4) depends on the input's values,
-        # so it is a replayable node: a compiled plan recomputes it.
-        if (
-            not ag.is_grad_enabled()
-            and counter is None
-            and self.assignment_mode == "hard"
-            and "assignment_weights" not in self.__dict__
-        ):
-            # Hard inference routing is a row gather (Eq. 19), O(B·l·d)
-            # instead of the one-hot matmul's O(B·l·k·d).  For finite
-            # contexts the values are the same: each output row is exactly
-            # its prototype's context row (the matmul adds k-1 exact zeros).
-            return ag.replayable(
-                "protoattn_gather", self._gather, (segments, proto_context)
-            )
-        # One-hot (or soft) matmul.  Training needs it so the graph flows
-        # into proto_context; profiled runs so FLOP accounting stays put;
-        # an instance-level assignment_weights override (the knockout
-        # attribution patches it) so the patched matrix actually routes.
-        assignment = ag.replayable("protoattn_assign", self._assignment, (segments,))
-        return ag.matmul(assignment, proto_context)  # (B, l, d)
+        return self.route(segments, proto_context, attention)  # (B, l, d)
 
-    def _gather(self, arrays: list, scratch: dict) -> np.ndarray:
-        """Nearest prototype per segment, then its ``proto_context`` row."""
-        segments, proto_context = arrays
-        flat = segments.reshape(-1, self.segment_length)
-        distances = composite_distance(flat, self.prototypes, self.alpha, scratch)
-        labels = distances.argmin(axis=1).reshape(segments.shape[:-1])
-        self.last_assignment_ = labels
-        rows = scratch.get("rows")
-        if rows is None or rows.shape[0] != labels.shape[0]:
-            rows = scratch["rows"] = np.arange(labels.shape[0])[:, None]
-        return proto_context[rows, labels]
+    def route(
+        self, segments: Tensor, context: Tensor, attention: Tensor | None = None
+    ) -> Tensor:
+        """Eq. (19): ``(B, l, d)`` rows of ``context`` ``(B, k, d)``, one per
+        segment of ``segments`` ``(B, l, p)``, picked by its prototype.
 
-    def _assignment(self, arrays: list, scratch: dict) -> np.ndarray:
-        """Assignment matrix ``A`` through (a possibly patched)
-        :meth:`assignment_weights`."""
-        weights = self.assignment_weights(arrays[0])
-        self.last_assignment_ = weights.argmax(axis=-1)
-        return weights
+        One replayable node with a ``context`` gradient serves every mode.
+        Hard routing is a row gather, exactly the one-hot ``A · context``
+        for finite values at O(B·l·d); soft routing is the product.
+        Prototypes masked in :attr:`knockout` route zero context.  Passing
+        ``attention`` records it and the labels (:attr:`last_attention_`,
+        :attr:`last_assignment_`).
+        """
+        counter = active_counter()
+        if counter is not None and self.assignment_mode == "soft":
+            flops = 2 * segments.shape[1] * int(np.prod(context.shape))
+            counter.add_flops(flops, label="protoattn_route")
+        parents = (segments, context) if attention is None else (segments, context, attention)
+        return ag.replayable("protoattn_route", self._route, parents, (None, self._route_grad))
+
+    def _route(self, arrays: list, scratch: dict) -> np.ndarray:
+        segments, context, *attention = arrays
+        knockout = self.knockout
+        if self.assignment_mode == "hard":
+            flat = segments.reshape(-1, self.segment_length)
+            distances = composite_distance(flat, self.prototypes, self.alpha, scratch)
+            labels = distances.argmin(axis=1).reshape(segments.shape[:-1])
+            weights = None
+            rows = scratch.get("rows")
+            if rows is None or rows.shape[0] != labels.shape[0]:
+                rows = scratch["rows"] = np.arange(labels.shape[0])[:, None]
+            routed = context[rows, labels]
+            if knockout is not None:
+                routed[knockout[labels]] = 0.0
+        else:
+            weights = self.assignment_weights(segments)
+            labels = weights.argmax(axis=-1)
+            if knockout is not None:
+                weights[..., knockout] = 0.0
+            routed = weights @ context
+        scratch["saved"] = (labels, weights, knockout)
+        if attention:
+            self.last_assignment_ = labels
+            # Copied: under a plan the attention is an arena buffer that
+            # later steps of the same replay reuse.
+            self.last_attention_ = attention[0].copy()
+        return routed
+
+    def _route_grad(self, grad: np.ndarray, saved: tuple) -> np.ndarray:
+        """``Aᵀ · grad``; the hard one-hot ``A`` is rebuilt from the labels."""
+        labels, weights, knockout = saved
+        if weights is None:
+            weights = np.zeros((*labels.shape, self.num_prototypes), dtype=grad.dtype)
+            np.put_along_axis(weights, labels[..., None], 1.0, axis=-1)
+            if knockout is not None:
+                weights[..., knockout] = 0.0
+        return np.swapaxes(weights, -1, -2) @ grad
 
     def dependency_matrix(self) -> np.ndarray:
         """``A @ attention`` from the last forward: ``(B, l, l)``.

@@ -19,8 +19,7 @@ the backward pass, that sum is the faithful analog of the paper's
 inference peak-memory metric (intermediate-result storage).  Assignment
 search inside ProtoAttn and other pure-numpy computations report
 themselves through :meth:`OpCounter.add_flops`; the replayable routing
-nodes that carry the assignment search (``protoattn_gather``,
-``protoattn_assign``, ``deep_routing``) are therefore charged 0 FLOPs.
+node (``protoattn_route``) is therefore charged 0 FLOPs.
 """
 
 from __future__ import annotations
@@ -71,10 +70,8 @@ _FREE_OPS = {
     "leaf",
 }
 
-# Replayable routing nodes (repro.autograd.replayable): their numpy work
-# is the nearest-prototype search, which ProtoAttn charges once through
-# OpCounter.add_flops("proto_assignment").
-_SELF_CHARGED_OPS = {"protoattn_gather", "protoattn_assign", "deep_routing"}
+# ProtoAttn charges its routing node's work through OpCounter.add_flops.
+_SELF_CHARGED_OPS = {"protoattn_route"}
 
 
 def _op_flops(op_name: str, out_shape: tuple, parent_shapes: list[tuple]) -> int:

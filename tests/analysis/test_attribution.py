@@ -50,11 +50,10 @@ class TestPrototypeImportance:
         with ag.no_grad():
             after = model(Tensor(windows)).data
         assert np.array_equal(before, after)
-        # No instance-level override is left behind (it would keep
-        # ProtoAttn off its hard-routing gather).
+        # No knockout mask is left behind.
         extractor = model.extractor
         for mixer in (extractor.temporal_mixer, extractor.entity_mixer):
-            assert "assignment_weights" not in vars(mixer)
+            assert mixer.knockout is None
 
     def test_ranking_order(self, model, rng):
         windows = rng.standard_normal((2, 24, 3))

@@ -7,31 +7,41 @@ from repro import autograd as ag
 from repro.core import FOCUSConfig, FOCUSForecaster
 from repro.core.deep import DeepProtoBlock
 from repro.core.extractor import DualBranchExtractor
+from repro.core.protoattn import ProtoAttn
+
+
+def _router(rng, k=4, p=6):
+    """A layer-1 ProtoAttn whose assignment routes the block."""
+    return ProtoAttn(rng.standard_normal((k, p)), d_model=8)
 
 
 class TestDeepProtoBlock:
     def test_shape_preserved(self, rng):
         block = DeepProtoBlock(num_prototypes=4, d_model=8)
         tokens = ag.Tensor(rng.standard_normal((3, 6, 8)))
-        routing = np.zeros((3, 6, 4))
-        routing[..., 0] = 1.0
-        assert block(tokens, routing).shape == (3, 6, 8)
+        segments = ag.Tensor(rng.standard_normal((3, 6, 6)))
+        assert block(tokens, _router(rng), segments).shape == (3, 6, 8)
 
     def test_rejects_bad_token_dim(self, rng):
         block = DeepProtoBlock(4, 8)
+        segments = ag.Tensor(rng.standard_normal((3, 6, 6)))
         with pytest.raises(ValueError, match="d=8"):
-            block(ag.Tensor(rng.standard_normal((3, 6, 7))), np.zeros((3, 6, 4)))
+            block(ag.Tensor(rng.standard_normal((3, 6, 7))), _router(rng), segments)
 
     def test_rejects_mismatched_routing(self, rng):
         block = DeepProtoBlock(4, 8)
+        tokens = ag.Tensor(rng.standard_normal((3, 6, 8)))
+        segments = ag.Tensor(rng.standard_normal((3, 6, 6)))
         with pytest.raises(ValueError, match="assignment"):
-            block(ag.Tensor(rng.standard_normal((3, 6, 8))), np.zeros((3, 6, 5)))
+            block(tokens, _router(rng, k=5), segments)
+        with pytest.raises(ValueError, match="assignment"):
+            block(tokens, _router(rng), ag.Tensor(rng.standard_normal((3, 5, 6))))
 
     def test_gradients_flow(self, rng):
         block = DeepProtoBlock(4, 8)
         tokens = ag.Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
-        routing = np.eye(4)[rng.integers(0, 4, size=(2, 5))]
-        block(tokens, routing).sum().backward()
+        segments = ag.Tensor(rng.standard_normal((2, 5, 6)))
+        block(tokens, _router(rng), segments).sum().backward()
         assert tokens.grad is not None
         assert block.proto_queries.grad is not None
 

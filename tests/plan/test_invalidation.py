@@ -1,13 +1,13 @@
 """Plan invalidation: no sanctioned mutation can serve a stale replay.
 
-Plans are keyed by ``(bucketed input shape, dtype, prototype version,
-assignment_weights overrides)`` and the version bumps on every
-sanctioned mutation, so a stale plan can never *match* again — it is
-also actively evicted.  The property test drives
-random mutation sequences and re-checks bit-equivalence after each
-step; the structural tests pin the cache mechanics and the capture
-layer's rejection of data-dependent leaves (the failure mode that would
-otherwise allow silent staleness).
+Plans are keyed by ``(bucketed input shape, dtype, prototype version)``
+and the version bumps on every sanctioned mutation, so a stale plan can
+never *match* again — it is also actively evicted.  ProtoAttn's
+knockout mask needs no key: the routing node reads it on every replay.
+The property test drives random mutation sequences and re-checks
+bit-equivalence after each step; the structural tests pin the cache
+mechanics and the capture layer's rejection of data-dependent leaves
+(the failure mode that would otherwise allow silent staleness).
 """
 
 import numpy as np

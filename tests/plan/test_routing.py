@@ -1,20 +1,29 @@
-"""ProtoAttn routing: one distance kernel and one forward for both engines.
+"""ProtoAttn routing: one distance kernel and one routing node.
 
 ``composite_distance`` is the only implementation of Eq. 13; a compiled
 plan passes it a per-arena workspace, every other caller passes none.
-``ProtoAttn.forward`` records its routing as a replayable node, so the
-plan recomputes the assignment from the replayed segments — these tests
-pin that the workspace never changes a bit, that a replay leaves the
-same ``last_assignment_`` as an eager forward, and that an
-instance-level ``assignment_weights`` override routes under the plan
-engine as it does eagerly — setting or popping one retraces.
+``ProtoAttn.route`` is one replayable node with a backward, which every
+mode goes through: eager and plan inference, training, counted runs and
+the deep blocks.  These tests pin that the workspace never changes a
+bit; that a replay leaves the eager ``last_assignment_``,
+``last_attention_`` and ``dependency_matrix()``; that the node's
+gradient is right and float64 training is bitwise the one-hot
+composition ``A · context`` (kept here as the oracle); and that the
+knockout mask routes under the plan engine without a retrace and gives
+the importance of a one-hot-column knockout.
 """
 
 import numpy as np
 import pytest
 
+from repro import autograd as ag
+from repro import optim
 from repro.analysis.attribution import prototype_importance
+from repro.autograd import gradcheck
 from repro.core.clustering import composite_distance
+from repro.core.model import FOCUSConfig, FOCUSForecaster
+from repro.core.protoattn import ProtoAttn
+from repro.nn import init as nn_init
 
 from .conftest import build_plan_model, make_windows
 
@@ -57,83 +66,155 @@ def test_workspace_follows_a_new_prototype_array():
         assert np.array_equal(reused, composite_distance(segments, prototypes, 0.5))
 
 
-def _assignments(model):
-    extractor = model.extractor
-    return [
-        extractor.temporal_mixer.last_assignment_.copy(),
-        extractor.entity_mixer.last_assignment_.copy(),
-    ]
+def _recorded(model):
+    """What each mixer leaves behind after a forward."""
+    recorded = []
+    for mixer in (model.extractor.temporal_mixer, model.extractor.entity_mixer):
+        recorded += [
+            mixer.last_assignment_.copy(),
+            mixer.last_attention_.copy(),
+            mixer.dependency_matrix(),
+        ]
+    return recorded
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [{}, {"assignment": "soft"}, {"n_layers": 2}],
-    ids=["hard-gather", "soft-assign", "deep-routing"],
+    "kwargs, batch",
+    [({}, 3), ({"assignment": "soft"}, 3), ({"n_layers": 2}, 3), ({}, 4)],
+    ids=["hard-gather", "soft-assign", "deep-routing", "hard-unpadded"],
 )
-def test_plan_replay_leaves_the_eager_last_assignment(kwargs):
+def test_plan_replay_leaves_the_eager_last_assignment(kwargs, batch):
+    """B=3 replays the padded 4-row bucket; the pad rows' labels and
+    attention maps are trimmed."""
     model = build_plan_model(**kwargs)
-    traced = make_windows(model, 3, seed=1)
-    fresh = make_windows(model, 3, seed=2)
+    traced = make_windows(model, batch, seed=1)
+    fresh = make_windows(model, batch, seed=2)
     model.forecast_batch(traced, engine="plan")  # trace on other data
     expected_forecast = model.forecast_batch(fresh, engine="eager")
-    expected = _assignments(model)
+    expected = _recorded(model)
     model.forecast_batch(traced, engine="eager")  # clobber the attributes
     got_forecast = model.forecast_batch(fresh, engine="plan")
     assert np.array_equal(got_forecast, expected_forecast)
-    for got, want in zip(_assignments(model), expected):
+    for got, want in zip(_recorded(model), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # The recorded attention is a copy, not the arena buffer the next
+    # replay overwrites.
+    attention = model.extractor.temporal_mixer.last_attention_
+    model.forecast_batch(traced, engine="plan")
+    assert np.array_equal(attention, expected[1])
+
+
+def _one_hot_route(self, segments, context, attention=None, column=None):
+    """The oracle: Eq. 19 as the product of the assignment matrix ``A``
+    and the context, with knocked-out prototype columns of ``A`` zeroed."""
+    weights = self.assignment_weights(segments.data)
+    if self.knockout is not None:
+        weights[..., self.knockout] = 0.0
+    if column is not None:
+        weights[..., column] = 0.0
+    return ag.matmul(ag.Tensor(weights), context)
+
+
+@pytest.mark.parametrize("assignment", ["hard", "soft"])
+@pytest.mark.parametrize("knocked", [False, True], ids=["all", "knockout"])
+def test_route_gradcheck(assignment, knocked):
+    rng = np.random.default_rng(7)
+    layer = ProtoAttn(rng.standard_normal((4, 5)), d_model=3, assignment=assignment)
+    if knocked:
+        layer.knockout = np.array([False, True, False, False])
+    segments = ag.Tensor(rng.standard_normal((2, 6, 5)))
+    context = ag.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    assert gradcheck(lambda c: layer.route(segments, c), [context])
+    if assignment == "hard":
+        routed = layer.route(segments, context).data
+        assert np.array_equal(routed, _one_hot_route(layer, segments, context).data)
+
+
+def _pinned_model(n_layers):
+    """The pinned serving/training model (L=96, N=8, p=12, k=8, d=32)."""
+    nn_init.seed(0)
+    config = FOCUSConfig(
+        lookback=96, horizon=12, num_entities=8, segment_length=12,
+        num_prototypes=8, d_model=32, num_readout=2, n_layers=n_layers,
+    )
+    prototypes = np.random.default_rng(1).standard_normal((8, 12))
+    return FOCUSForecaster(config, prototypes=prototypes)
+
+
+def _train(model, steps=5):
+    """Forward outputs, gradients and parameters of ``steps`` AdamW steps."""
+    rng = np.random.default_rng(2)
+    x = ag.Tensor(rng.standard_normal((32, 96, 8)))
+    y = ag.Tensor(rng.standard_normal((32, 12, 8)))
+    optimizer = optim.AdamW(model.parameters(), lr=1e-3)
+    trace = []
+    for _ in range(steps):
+        prediction = model(x)
+        loss = ((prediction - y) ** 2.0).mean()
+        optimizer.zero_grad()
+        loss.backward()
+        trace.append(prediction.data)
+        trace += [param.grad.copy() for param in model.parameters()]
+        optimizer.step()
+    return trace + [param.data.copy() for param in model.parameters()]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2], ids=["pinned", "deep"])
+def test_float64_training_is_bitwise_the_one_hot_oracle(n_layers, monkeypatch):
+    served = _train(_pinned_model(n_layers))
+    monkeypatch.setattr(ProtoAttn, "route", _one_hot_route)
+    oracle = _train(_pinned_model(n_layers))
+    assert len(served) == len(oracle)
+    for got, want in zip(served, oracle):
+        assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
 
 
-def test_overridden_assignment_weights_route_under_the_plan_engine():
-    """The knockout of ``prototype_importance`` patches
-    ``assignment_weights`` per instance; a plan traced while it is
-    patched must route through the patched matrix, as eager does."""
+def test_knockout_under_the_plan_engine_matches_eager_without_a_retrace(compile_count):
     model = build_plan_model()
-    windows = make_windows(model, 2, seed=5)
-    result = prototype_importance(model, windows)
+    windows = make_windows(model, 4, seed=5)
     baseline = model.forecast_batch(windows, engine="plan")
-    assert np.array_equal(baseline, result.baseline_forecast)
     mixers = (model.extractor.temporal_mixer, model.extractor.entity_mixer)
-    for proto in range(model.config.num_prototypes):
-        for mixer in mixers:
-            original = type(mixer).assignment_weights.__get__(mixer)
-
-            def masked(segments, original=original, proto=proto):
-                weights = original(segments).copy()
-                weights[..., proto] = 0.0
-                return weights
-
-            mixer.assignment_weights = masked
-        try:
+    k = model.config.num_prototypes
+    moved = 0
+    try:
+        for proto in range(k):
+            for mixer in mixers:
+                mixer.knockout = np.arange(k) == proto
             eager = model.forecast_batch(windows, engine="eager")
             plan = model.forecast_batch(windows, engine="plan")
-        finally:
-            for mixer in mixers:
-                del mixer.assignment_weights
-        assert np.array_equal(plan, eager)
-        importance = float(np.abs(plan - baseline).mean())
-        assert importance == result.importance[proto]
-
-
-def test_setting_or_popping_an_override_retraces():
-    """The plan key holds each mixer's ``assignment_weights`` override,
-    so a plan traced before (or under) an override never replays after
-    the override changes."""
-    model = build_plan_model()
-    windows = make_windows(model, 3, seed=6)
-    baseline = model.forecast_batch(windows, engine="eager")
-    assert np.array_equal(model.forecast_batch(windows, engine="plan"), baseline)
-    mixer = model.extractor.temporal_mixer
-    original = type(mixer).assignment_weights.__get__(mixer)
-
-    def reversed_routing(segments):
-        return original(segments)[..., ::-1].copy()
-
-    mixer.assignment_weights = reversed_routing
-    try:
-        patched = model.forecast_batch(windows, engine="eager")
-        assert not np.array_equal(patched, baseline)  # the override bites
-        assert np.array_equal(model.forecast_batch(windows, engine="plan"), patched)
+            assert np.array_equal(plan, eager)
+            moved += not np.array_equal(plan, baseline)
     finally:
-        del mixer.assignment_weights
+        for mixer in mixers:
+            mixer.knockout = None
+    assert moved > 0  # the mask bites
     assert np.array_equal(model.forecast_batch(windows, engine="plan"), baseline)
+    assert len(compile_count) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"assignment": "soft"}, {"n_layers": 2}], ids=["hard", "soft", "deep"]
+)
+def test_prototype_importance_equals_a_one_hot_column_knockout(kwargs, monkeypatch):
+    model = build_plan_model(**kwargs)
+    windows = make_windows(model, 3, seed=8)
+    result = prototype_importance(model, windows)
+
+    def forecast(column=None):
+        def route(self, segments, context, attention=None):
+            return _one_hot_route(self, segments, context, attention, column)
+
+        monkeypatch.setattr(ProtoAttn, "route", route)
+        with ag.no_grad():
+            return model(ag.Tensor(windows)).data
+
+    baseline = forecast()
+    assert np.array_equal(baseline, result.baseline_forecast)
+    expected = np.array([
+        float(np.abs(forecast(proto) - baseline).mean())
+        for proto in range(model.config.num_prototypes)
+    ])
+    assert np.array_equal(result.importance, expected)
+    assert expected.max() > 0.0

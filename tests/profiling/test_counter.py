@@ -147,9 +147,10 @@ class TestProfileModel:
 
 
 class TestReplayableRouting:
-    """ProtoAttn routing nodes (``repro.autograd.replayable``) report to
-    the op observer under their own names and cost 0 FLOPs there: their
-    arithmetic is charged once, as ``proto_assignment``."""
+    """ProtoAttn's routing node (``repro.autograd.replayable``) reports to
+    the op observer as ``protoattn_route`` and costs 0 FLOPs there: the
+    assignment search is charged once, as ``proto_assignment``, and the
+    hard routing is a row gather."""
 
     @staticmethod
     def _model(rng):
@@ -175,7 +176,7 @@ class TestReplayableRouting:
                 model(x)
         finally:
             set_op_observer(previous)
-        gathers = [shape for name, shape in events if name == "protoattn_gather"]
+        gathers = [shape for name, shape in events if name == "protoattn_route"]
         # One per mixer: temporal (B*N, l, d) and entity (B*l, N, d).
         assert gathers == [(8, 4, 16), (8, 4, 16)]
 
@@ -186,14 +187,18 @@ class TestReplayableRouting:
         model.eval()
         with ag.no_grad(), profile_ops() as prof:
             model(ag.Tensor(rng.standard_normal((1, 48, 4))))
-        assert prof.stats["protoattn_gather"].calls == 2
-        assert prof.stats["protoattn_gather"].seconds > 0.0
+        assert prof.stats["protoattn_route"].calls == 2
+        assert prof.stats["protoattn_route"].seconds > 0.0
 
     def test_flop_totals_unchanged_by_routing_events(self, rng):
         report = profile_model(self._model(rng), (1, 48, 4))
-        assert report.per_op_flops["protoattn_assign"] == 0
+        assert report.per_op_flops["protoattn_route"] == 0
         assert report.per_op_flops["proto_assignment"] == 6144
         # Before the fused ops this forward counted 171076 FLOPs; the four
         # LayerNorms each drop one mean and one subtract over their
-        # 1*4*4*16 = 256 elements.  The routing events add nothing.
-        assert report.flops == 171076 - 4 * 2 * 256
+        # 1*4*4*16 = 256 elements.  Counted runs then took the one-hot
+        # routing matmul, 2*B'*l*k*d = 2*4*4*4*16 = 2048 FLOPs per mixer
+        # (temporal B' = B*N = 4 sequences of l = 4 segments, entity
+        # B' = B*l = 4 sequences of N = 4 entities); the served gather
+        # costs none, so both drop out.  The routing events add nothing.
+        assert report.flops == 171076 - 4 * 2 * 256 - 2 * (2 * 4 * 4 * 4 * 16)  # 164932

@@ -1,9 +1,30 @@
 """Tests for the command-line interface."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+
+@pytest.fixture(scope="module")
+def quick_bench_report():
+    """One ``run_benchmarks(quick=True)`` report for every bench test."""
+    from repro.profiling.bench import run_benchmarks
+
+    return run_benchmarks(quick=True)
+
+
+@pytest.fixture
+def quick_bench(quick_bench_report, monkeypatch):
+    """``repro bench --quick`` runs on a deep copy of the shared report."""
+
+    def run_benchmarks(quick=False):
+        assert quick
+        return copy.deepcopy(quick_bench_report)
+
+    monkeypatch.setattr("repro.profiling.bench.run_benchmarks", run_benchmarks)
 
 
 class TestParser:
@@ -132,7 +153,7 @@ class TestCommands:
         assert code == 0
         assert "comparison" in capsys.readouterr().out
 
-    def test_bench_quick_writes_report(self, capsys, tmp_path):
+    def test_bench_quick_writes_report(self, capsys, tmp_path, quick_bench):
         import json
 
         path = str(tmp_path / "bench.json")
@@ -151,15 +172,16 @@ class TestCommands:
         assert step["allocs_per_step_inplace"] < step["allocs_per_step_legacy"]
         assert step["alloc_reduction"] > 0
         assert 0 < step["backward_ms"] < step["float64_ms"]
-        # One node per Linear / LayerNorm call (the CI bench-smoke gate).
-        assert step["graph_nodes_per_step"] <= 92
+        # One node per Linear / LayerNorm call and one routing node per
+        # ProtoAttn (the CI bench-smoke gate).
+        assert step["graph_nodes_per_step"] <= 90
 
-    def test_bench_no_out_skips_writing(self, capsys, tmp_path, monkeypatch):
+    def test_bench_no_out_skips_writing(self, capsys, tmp_path, monkeypatch, quick_bench):
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "--quick", "--out", ""]) == 0
         assert not (tmp_path / "BENCH_hotpath.json").exists()
 
-    def test_bench_reports_telemetry_overhead(self, capsys, tmp_path):
+    def test_bench_reports_telemetry_overhead(self, capsys, tmp_path, quick_bench):
         import json
 
         path = str(tmp_path / "bench.json")
@@ -188,27 +210,20 @@ class TestCommands:
         assert plan["plan_ops"] > 0
         assert isinstance(plan["meets_plan_gate"], bool)
 
-    def test_bench_gate_misses_warn_unless_strict(self, capsys, monkeypatch):
+    def test_bench_gate_misses_warn_unless_strict(
+        self, capsys, monkeypatch, quick_bench_report
+    ):
         import repro.cli as cli
 
-        from repro.profiling.bench import run_benchmarks
-
-        report = None
-
-        def capture(quick=False):
-            nonlocal report
-            report = run_benchmarks(quick=quick)
-            # Doctor one gate to a miss: default mode warns, strict fails.
-            report["fleet_observability"]["meets_overhead_gate"] = False
-            report["fleet_observability"]["overhead_pct"] = 99.0
-            return report
-
-        monkeypatch.setattr("repro.profiling.bench.run_benchmarks", capture)
-        assert cli.main(["bench", "--quick", "--out", ""]) == 0
-        assert "WARNING: observability plane" in capsys.readouterr().out
+        report = copy.deepcopy(quick_bench_report)
+        # Doctor one gate to a miss: default mode warns, strict fails.
+        report["fleet_observability"]["meets_overhead_gate"] = False
+        report["fleet_observability"]["overhead_pct"] = 99.0
         monkeypatch.setattr(
             "repro.profiling.bench.run_benchmarks", lambda quick=False: report
         )
+        assert cli.main(["bench", "--quick", "--out", ""]) == 0
+        assert "WARNING: observability plane" in capsys.readouterr().out
         assert cli.main(["bench", "--quick", "--strict", "--out", ""]) == 1
         assert "WARNING: observability plane" in capsys.readouterr().out
 
